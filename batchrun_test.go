@@ -1,7 +1,9 @@
 package powerchop
 
 import (
+	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"powerchop/internal/policy"
@@ -94,6 +96,99 @@ func TestRunBatchSharesCacheWithRun(t *testing.T) {
 		if mustJSON(t, again[i]) != mustJSON(t, batched[i]) {
 			t.Errorf("lane %d: warm batch report differs", i)
 		}
+	}
+}
+
+// TestRunBatchSharedTraceWriter checks lanes sharing one TraceWriter
+// write exactly the bytes of serial Runs: each lane's JSONL stream is
+// flushed when its run ends, so the streams never interleave and every
+// line parses.
+func TestRunBatchSharedTraceWriter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a benchmark four times")
+	}
+	var batched, serial bytes.Buffer
+	lanes := []Options{
+		{Manager: ManagerPowerChop, Passes: 0.5, TraceWriter: &batched},
+		{Manager: ManagerTimeout, Passes: 0.5, TraceWriter: &batched},
+	}
+	if _, err := RunBatch("gobmk", lanes); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range lanes {
+		o.TraceWriter = &serial
+		if _, err := Run("gobmk", o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(batched.Bytes(), serial.Bytes()) {
+		t.Errorf("batched trace (%d bytes) differs from serial Runs' (%d bytes)", batched.Len(), serial.Len())
+	}
+	lines := bytes.Split(bytes.TrimSuffix(batched.Bytes(), []byte("\n")), []byte("\n"))
+	for i, line := range lines {
+		if !json.Valid(line) {
+			t.Fatalf("trace line %d of %d does not parse: %.80q", i+1, len(lines), line)
+		}
+	}
+}
+
+// TestProgressKindIsFingerprint checks root lanes report progress under
+// their policy fingerprint: an N-point Tune gives N+1 distinct kinds per
+// benchmark (the baseline and every point), each done exactly once, so a
+// board keyed by benchmark and kind shows one row per lane.
+func TestProgressKindIsFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps a small parameter grid on two benchmarks")
+	}
+	var mu sync.Mutex
+	done := map[string]int{}
+	progress := func(p RunProgress) {
+		if p.State == StateDone {
+			mu.Lock()
+			done[p.Benchmark+"/"+p.Kind]++
+			mu.Unlock()
+		}
+	}
+	benchmarks := []string{"libquantum", "namd"}
+	res, err := Tune(TuneOptions{
+		Policy:     ManagerPowerChop,
+		Benchmarks: benchmarks,
+		Grid:       map[string][]float64{"vpu": {0.001, 0.005, 0.02}, "bpu": {}, "mlc1": {}, "mlc2": {}},
+		Options:    Options{Passes: 0.3, Progress: progress},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := PolicyFingerprint(ManagerFullPower, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{full}
+	for _, pt := range res.Points {
+		want = append(want, pt.Fingerprint)
+	}
+	for _, b := range benchmarks {
+		for _, kind := range want {
+			if n := done[b+"/"+kind]; n != 1 {
+				t.Errorf("%s/%s: %d done reports, want 1", b, kind, n)
+			}
+		}
+	}
+	if len(done) != len(benchmarks)*len(want) {
+		t.Errorf("%d distinct kinds reported, want %d: %v", len(done), len(benchmarks)*len(want), done)
+	}
+
+	// A single Run reports its fingerprint too, not the manager's name.
+	done = map[string]int{}
+	if _, err := Run("libquantum", Options{Manager: ManagerTimeout, Passes: 0.3, Progress: progress}); err != nil {
+		t.Fatal(err)
+	}
+	timeout, err := PolicyFingerprint(ManagerTimeout, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done["libquantum/"+timeout] != 1 || len(done) != 1 {
+		t.Errorf("timeout Run done reports %v, want one under %q", done, timeout)
 	}
 }
 

@@ -397,30 +397,9 @@ func BenchmarkAblationTimeout(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	bench := mustBench(b, "bzip2")
-	p := bench.MustBuild()
-	var insns uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(p, sim.Config{
-			Design:          arch.Server(),
-			Manager:         core.AlwaysOn(),
-			MaxTranslations: 50000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		insns = res.GuestInsns
-	}
-	b.ReportMetric(float64(insns), "insns/op")
-}
-
-// BenchmarkRunCompiled measures the compiled-region execution path in
-// isolation — the same run shape as BenchmarkSimulatorThroughput, kept
-// under its own name so the region-compilation speedup can be tracked
-// against recorded baselines (see EXPERIMENTS.md).
+// BenchmarkRunCompiled measures raw simulation speed: the
+// compiled-region execution path of one solo run, tracked against
+// recorded baselines (see EXPERIMENTS.md).
 func BenchmarkRunCompiled(b *testing.B) {
 	bench := mustBench(b, "bzip2")
 	p := bench.MustBuild()

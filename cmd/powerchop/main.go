@@ -202,10 +202,13 @@ commands:
   tune -policy NAME [-bench B1,B2] [-grid P=LO:HI:N] [-jobs N] [-batch N] [-json]  Pareto sweep
 
 compare, tune, figure, all and headline accept -batch N to cap how many
-configurations one batched simulation drives from a single trace walk
-(0 = default cap of 16, 1 = solo runs); results are byte-identical at
-any setting, batching only changes wall-clock time. tune also accepts
--progress for per-run completion lines on stderr.
+lanes one batched simulation group drives from a single trace walk
+(0 = default cap of 16, 1 = one simulation per lane). tune, figure, all,
+headline and serve accept -jobs N to bound how many simulation groups
+run at once; cold lanes split into groups of at most ceil(lanes / N), so
+every job has a group to drive. Results are byte-identical at any
+setting: batching and jobs only change wall-clock time. tune also
+accepts -progress for per-run completion lines on stderr.
 
 run, tune, figure, all and headline accept -http ADDR to expose a live monitor
 for the duration of the command: /metrics (Prometheus), /progress (JSON),
@@ -262,7 +265,7 @@ func runFlags(args []string) (runArgs, error) {
 	telemetry := fs.Bool("telemetry", false, "record per-window series and print a sparkline summary")
 	httpAddr := fs.String("http", "", "serve a live monitor on this address for the run's duration")
 	cacheDir := fs.String("cache", os.Getenv("POWERCHOP_CACHE"), "persistent result cache directory (default $POWERCHOP_CACHE)")
-	batch := fs.Int("batch", 0, "max configurations per batched simulation for compare (0 = default cap, 1 = solo runs)")
+	batch := fs.Int("batch", 0, "max lanes per batched simulation group for compare (0 = default cap of 16, 1 = one simulation per lane)")
 	if err := fs.Parse(args); err != nil {
 		return runArgs{}, errParse(err)
 	}
@@ -639,8 +642,8 @@ func figureRunnerFlags(name string, args []string) (runner *powerchop.FigureRunn
 		idFlag = fs.String("id", "", "figure id")
 	}
 	scale := fs.Float64("scale", 1, "run-length scale")
-	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "max cold lanes per batched simulation (0 = default cap, 1 = solo runs)")
+	jobs := fs.Int("jobs", 0, "max concurrent simulation groups (0 = GOMAXPROCS)")
+	batch := fs.Int("batch", 0, "max cold lanes per batched simulation group (0 = default cap of 16, 1 = one simulation per lane)")
 	httpAddr := fs.String("http", "", "serve a live monitor on this address for the command's duration")
 	cacheDir := fs.String("cache", os.Getenv("POWERCHOP_CACHE"), "persistent result cache directory (default $POWERCHOP_CACHE)")
 	if err := fs.Parse(args); err != nil {

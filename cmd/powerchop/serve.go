@@ -377,7 +377,7 @@ func cmdServe(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	scale := fs.Float64("scale", 1, "run-length scale for figure requests")
-	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	jobs := fs.Int("jobs", 0, "max concurrent simulation groups for figure requests (0 = GOMAXPROCS)")
 	trace := fs.String("trace", "", "also record every event as JSONL to this file")
 	cacheDir := fs.String("cache", os.Getenv("POWERCHOP_CACHE"), "result cache + run-history directory (default $POWERCHOP_CACHE)")
 	accessLog := fs.Bool("access-log", true, "write structured JSON access logs to stderr")

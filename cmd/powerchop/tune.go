@@ -88,8 +88,8 @@ func cmdTune(args []string, stdout io.Writer) error {
 	bench := fs.String("bench", "gobmk", "comma-separated benchmarks averaged over")
 	archName := fs.String("arch", "", "design point (server|mobile; default per suite)")
 	passes := fs.Float64("passes", 2, "passes over the phase schedule")
-	jobs := fs.Int("jobs", 0, "max concurrent runs (0/1 = serial)")
-	batch := fs.Int("batch", 0, "max grid points per batched simulation (0 = default cap, 1 = solo runs)")
+	jobs := fs.Int("jobs", 0, "max concurrent simulation groups (0/1 = serial)")
+	batch := fs.Int("batch", 0, "max lanes per batched simulation group (0 = default cap of 16, 1 = one simulation per lane)")
 	progress := fs.Bool("progress", false, "print per-run completion lines to stderr")
 	httpAddr := fs.String("http", "", "serve a live monitor (/progress, /metrics) on this address for the sweep's duration")
 	asJSON := fs.Bool("json", false, "emit the sweep result as JSON")

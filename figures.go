@@ -97,25 +97,31 @@ func NewFigureRunner(scale float64, opts ...FigureOption) *FigureRunner {
 	r.Tracer = c.tracer
 	r.Cache = c.cache
 	r.Batch = c.batch
-	if fn := c.progress; fn != nil {
-		r.Progress = experiments.ProgressFunc(func(u experiments.RunUpdate) {
-			rp := RunProgress{
-				Benchmark:    u.Benchmark,
-				Kind:         string(u.Kind),
-				State:        string(u.State),
-				Cycles:       u.Cycles,
-				Translations: u.Translations,
-				Total:        u.Total,
-				Windows:      u.Windows,
-				Elapsed:      u.Elapsed,
-			}
-			if u.Err != nil {
-				rp.Err = u.Err.Error()
-			}
-			fn(rp)
-		})
+	if c.progress != nil {
+		r.Progress = progressSink(c.progress)
 	}
 	return &FigureRunner{runner: r, jobs: r.Jobs()}
+}
+
+// progressSink adapts a RunProgress callback to the runner's update
+// stream.
+func progressSink(fn func(RunProgress)) experiments.ProgressSink {
+	return experiments.ProgressFunc(func(u experiments.RunUpdate) {
+		rp := RunProgress{
+			Benchmark:    u.Benchmark,
+			Kind:         string(u.Kind),
+			State:        string(u.State),
+			Cycles:       u.Cycles,
+			Translations: u.Translations,
+			Total:        u.Total,
+			Windows:      u.Windows,
+			Elapsed:      u.Elapsed,
+		}
+		if u.Err != nil {
+			rp.Err = u.Err.Error()
+		}
+		fn(rp)
+	})
 }
 
 // figureSpec describes one renderable experiment.

@@ -8,7 +8,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,52 +55,65 @@ const (
 	KindChopMLC Kind = "powerchop-mlc"
 )
 
+// defaultBatchCap bounds the lanes one batched simulation group drives
+// when Runner.Batch is zero. Batching amortizes the shared front-end
+// (trace walk, L1, small predictor) across lanes; past ~16 lanes the
+// remaining per-lane work dominates and wider groups only cost memory.
+const defaultBatchCap = 16
+
 // Runner executes and memoizes benchmark runs. Figures share a Runner so
-// that, e.g., the PowerChop runs behind Figures 9-14 happen once.
+// that, e.g., the PowerChop runs behind Figures 9-14 happen once; the
+// root package's Run, RunBatch, Compare and Tune submit their lanes to a
+// per-call Runner, so every simulation takes the same path (see Run).
 //
-// The Runner is safe for concurrent use: simultaneous Result calls for
-// the same benchmark×kind key are deduplicated singleflight-style (one
-// caller simulates, the rest wait for its result), and the total number
-// of in-flight simulations is bounded by the runner's job count. Each
+// The Runner is safe for concurrent use: simultaneous requests for the
+// same lane are deduplicated singleflight-style (one caller simulates,
+// the rest wait for its result), and the total number of in-flight
+// simulation groups is bounded by the runner's job count. Each
 // simulation itself is single-threaded and deterministic, so the set of
-// cached Results is identical however calls interleave.
+// memoized results is identical however calls interleave.
 type Runner struct {
 	mu      sync.Mutex
 	scale   float64
-	flights map[string]*flight
+	flights map[rescache.Key]*flight
+	// benches memoizes each benchmark's lane template: figures request
+	// the same benchmark many times, and building and hashing its program
+	// costs about as much as a warm cache hit.
+	benches map[string]Lane
 	sem     chan struct{}
 	sims    atomic.Uint64
 
 	// Tracer, when non-nil, is threaded into every simulation the runner
-	// launches (cached results are not re-run, so set it before the first
-	// Result call). Figures run many benchmarks through one Runner, so a
-	// shared sink must be safe for concurrent emission.
+	// launches (memoized results are not re-run, so set it before the
+	// first call). Figures run many benchmarks through one Runner, so a
+	// shared sink must be safe for concurrent emission. With a Tracer
+	// set every lane simulates alone and bypasses the cache.
 	Tracer obs.Tracer
 
 	// Progress, when non-nil, receives run lifecycle updates: queued when
 	// a flight is registered, simulating once it holds a job slot (then
 	// again at every window boundary with live counters), and done or
-	// error at completion. Like Tracer, set it before the first Result
-	// call; implementations must be safe for concurrent use.
+	// error at completion. Like Tracer, set it before the first call;
+	// implementations must be safe for concurrent use.
 	Progress ProgressSink
 
 	// Cache, when non-nil, is a persistent result store consulted before
 	// each simulation and filled after it: a hit skips the run entirely
-	// and never occupies a job slot. When a Tracer is also set the cache
-	// is bypassed (and the bypass counted) — a cached result cannot
-	// replay the event stream. Set it before the first Result call.
+	// and never occupies a job slot. Lanes with an observer attached, and
+	// every lane when a Tracer is set, bypass it (and the bypass is
+	// counted) — a cached result cannot replay the event stream. Set it
+	// before the first call.
 	Cache *rescache.Cache
 
-	// Batch caps how many cold lanes one ResultBatch call hands to a
-	// single batched simulation (sim.RunBatch): 0 selects the default
-	// cap, 1 disables batching (every lane simulates solo). Batching is
-	// a pure wall-clock optimization — results, cache entries and
-	// singleflight keys are identical either way. Set it before the
-	// first call.
+	// Batch caps how many cold lanes one batched simulation group
+	// (sim.RunBatch) drives: 0 selects the default cap, 1 gives every
+	// lane a group of its own. Batching is a pure wall-clock
+	// optimization — results, cache entries and singleflight keys are
+	// identical either way. Set it before the first call.
 	Batch int
 }
 
-// flight is one cache entry: the simulation's result once done is
+// flight is one memo entry: the simulation's result once done is
 // closed, and the dedup point for concurrent callers until then.
 type flight struct {
 	done chan struct{}
@@ -115,8 +130,8 @@ func NewRunner(scale float64) *Runner {
 }
 
 // NewParallelRunner returns a runner that allows at most jobs concurrent
-// simulations (jobs <= 0 selects GOMAXPROCS). jobs bounds simulation
-// work only; any number of callers may block in Result waiting on
+// simulation groups (jobs <= 0 selects GOMAXPROCS). jobs bounds
+// simulation work only; any number of callers may block waiting on
 // flights without occupying a job slot.
 func NewParallelRunner(scale float64, jobs int) *Runner {
 	if scale <= 0 {
@@ -127,12 +142,13 @@ func NewParallelRunner(scale float64, jobs int) *Runner {
 	}
 	return &Runner{
 		scale:   scale,
-		flights: map[string]*flight{},
+		flights: map[rescache.Key]*flight{},
+		benches: map[string]Lane{},
 		sem:     make(chan struct{}, jobs),
 	}
 }
 
-// Jobs returns the maximum number of concurrent simulations.
+// Jobs returns the maximum number of concurrent simulation groups.
 func (r *Runner) Jobs() int { return cap(r.sem) }
 
 // Simulations returns how many simulations the runner has actually
@@ -192,127 +208,162 @@ func designFor(b workload.Benchmark) arch.Design {
 	return arch.Server()
 }
 
-// runSpec describes one run configuration beyond the benchmark: how to
-// build the manager, how the run keys into the memo and persistent
-// caches, and how it is labeled in progress reports and spans.
-type runSpec struct {
-	// label identifies the configuration in progress updates and spans.
-	label Kind
-	// managerKey is the persistent-cache Manager field (the kind string
-	// for the fixed kinds, the policy fingerprint for policy runs).
-	managerKey string
-	// quality enables translation-quality tracking on unsampled runs
-	// (the canonical PowerChop runs feed the quality figure).
-	quality bool
-	// build constructs a fresh manager (managers are stateful and must
-	// not be shared across runs).
-	build func() (core.Manager, error)
-	// telemetry, when non-nil, attaches a time-series store to the run
-	// (Telemetry runs only; forces a cache bypass — a cached result
-	// cannot replay the per-window series).
-	telemetry *tsdb.Store
+// Lane is one simulation request: the program and design it runs on, its
+// length and sampling, the manager it runs under and the key that manager
+// files under, plus any observers. Figure runs and the root package's
+// Run, RunBatch, Compare and Tune are all lanes submitted through Run.
+type Lane struct {
+	// Program is the built guest program.
+	Program *program.Program
+	// Design is the processor design point.
+	Design arch.Design
+	// RunLen is the run length in region executions.
+	RunLen uint64
+	// SampleInterval, when positive, records a sample every that many
+	// guest instructions.
+	SampleInterval uint64
+	// Quality enables the Figure 8 translation-quality tracker.
+	Quality bool
+	// Manager builds a fresh manager for the run (managers are stateful
+	// and never shared between runs).
+	Manager func() (core.Manager, error)
+	// ManagerKey names the manager in the lane's cache key and in
+	// progress reports: an experiment kind, or a policy fingerprint.
+	ManagerKey string
+	// Silent lanes send no progress reports: sampled and telemetry
+	// extras that would otherwise share a progress row with the
+	// canonical run of their manager.
+	Silent bool
+
+	// Observers. A lane carrying any of them runs alone and is never
+	// cached or deduplicated — a cached result cannot replay the stream.
+
+	// TraceWriter receives the run's events as JSONL, flushed when the
+	// run ends.
+	TraceWriter io.Writer
+	// Tracer receives the run's event stream.
+	Tracer obs.Tracer
+	// Metrics and Audit attach the metrics snapshot and the decision
+	// provenance trail to the result.
+	Metrics, Audit bool
+	// Telemetry streams the run's per-window series into the store.
+	Telemetry *tsdb.Store
+
+	// digest and design are the program digest and design fingerprint
+	// of the benchmark template the lane was copied from, if any.
+	digest, design string
 }
 
-// kindRun is the runSpec of a fixed experiment kind.
-func kindRun(kind Kind) runSpec {
-	return runSpec{
-		label:      kind,
-		managerKey: string(kind),
-		quality:    kind == KindPowerChop,
-		build:      func() (core.Manager, error) { return manager(kind) },
+// observed reports whether the lane carries an observer of its own.
+func (l *Lane) observed() bool {
+	return l.TraceWriter != nil || l.Tracer != nil || l.Metrics || l.Audit || l.Telemetry != nil
+}
+
+// alone reports whether the lane must simulate in a group of its own and
+// bypass the cache: it is observed, or the runner's Tracer wants every
+// run's own event stream.
+func (r *Runner) alone(l *Lane) bool { return l.observed() || r.Tracer != nil }
+
+// hash returns the costly fields of the lane's key, the program digest
+// and the design fingerprint, taken from the benchmark template the lane
+// was copied from when there is one.
+func (l *Lane) hash() (digest, design string) {
+	if l.digest != "" {
+		return l.digest, l.design
+	}
+	return l.Program.Digest(), rescache.Fingerprint(l.Design)
+}
+
+// key is the lane's persistent-cache key, which also keys its flight.
+// It is the only place a rescache.Key is built, so every caller that
+// issues the same simulation files it under the same entry.
+func (l *Lane) key() rescache.Key {
+	digest, design := l.hash()
+	return rescache.Key{
+		Program: digest,
+		Design:  design,
+		Manager: l.ManagerKey,
+		Config: fmt.Sprintf("translations=%d sample=%d quality=%t",
+			l.RunLen, l.SampleInterval, l.Quality),
 	}
 }
 
-// policyRun is the runSpec of a registered policy at a parameter
-// assignment. The memo and persistent-cache keys are the policy
-// fingerprint, so two sweeps of the same grid share entries exactly.
-func policyRun(name string, params policy.Params) (runSpec, error) {
-	spec, ok := policy.Lookup(name)
-	if !ok {
-		return runSpec{}, fmt.Errorf("experiments: unknown policy %q", name)
-	}
+// PolicyLane returns the lane template of a registered policy at a
+// parameter assignment; the caller fills in the program, design and run
+// length. Its manager key is the policy fingerprint, so the assignment
+// is validated here and two sweeps of the same grid share flights and
+// cache entries exactly.
+func PolicyLane(spec policy.Spec, params policy.Params) (Lane, error) {
 	fp, err := spec.Fingerprint(params)
 	if err != nil {
-		return runSpec{}, err
+		return Lane{}, err
 	}
 	p := params.Clone()
-	return runSpec{
-		label:      Kind(name),
-		managerKey: fp,
-		build:      func() (core.Manager, error) { return spec.Manager(p) },
+	return Lane{
+		ManagerKey: fp,
+		Manager:    func() (core.Manager, error) { return spec.Manager(p) },
 	}, nil
 }
 
-// Result returns the (cached) run of the benchmark under the kind.
+// kindLane is the lane template of a fixed experiment kind. Canonical
+// PowerChop runs track translation quality for Figure 8.
+func kindLane(kind Kind) Lane {
+	return Lane{
+		ManagerKey: string(kind),
+		Quality:    kind == KindPowerChop,
+		Manager:    func() (core.Manager, error) { return manager(kind) },
+	}
+}
+
+// Result returns the (memoized) run of the benchmark under the kind.
 // Concurrent calls for the same key simulate exactly once: the first
 // caller registers a flight and runs, later callers wait on it. Errors
-// are not cached — a failed flight is dropped so a subsequent call can
-// retry, matching the serial runner's cache-on-success semantics.
+// are not memoized — a failed flight is dropped so a subsequent call can
+// retry.
 //
 // When ctx carries a span (internal/obs/span) the flight owner's
 // simulation runs under a "benchmark" child span; deduplicated waiters
 // and cache hits open no span of their own.
 func (r *Runner) Result(ctx context.Context, b workload.Benchmark, kind Kind) (*sim.Result, error) {
-	return r.result(ctx, b, kindRun(kind))
+	return r.one(ctx, b, kindLane(kind))
 }
 
-// PolicyResult returns the (cached) run of the benchmark under a
+// PolicyResult returns the (memoized) run of the benchmark under a
 // registered policy at the given parameters, with Result's singleflight
 // and persistent-cache semantics keyed by the policy fingerprint. It
 // errors on an unknown policy or an invalid parameter assignment.
 func (r *Runner) PolicyResult(ctx context.Context, b workload.Benchmark, name string, params policy.Params) (*sim.Result, error) {
-	rs, err := policyRun(name, params)
+	l, err := policyLane(name, params)
 	if err != nil {
 		return nil, err
 	}
-	return r.result(ctx, b, rs)
-}
-
-// result is the shared singleflight path behind Result and PolicyResult.
-func (r *Runner) result(ctx context.Context, b workload.Benchmark, rs runSpec) (*sim.Result, error) {
-	key := b.Name + "/" + rs.managerKey
-	r.mu.Lock()
-	if f, ok := r.flights[key]; ok {
-		r.mu.Unlock()
-		<-f.done
-		return f.res, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	r.flights[key] = f
-	r.mu.Unlock()
-
-	// Only the flight owner reports progress: deduplicated waiters would
-	// otherwise produce duplicate lifecycle transitions for the same run.
-	r.report(RunUpdate{Benchmark: b.Name, Kind: rs.label, State: RunQueued})
-	f.res, f.err = r.simulate(ctx, b, rs, 0, true)
-	if f.err != nil {
-		r.mu.Lock()
-		delete(r.flights, key)
-		r.mu.Unlock()
-	}
-	close(f.done)
-	return f.res, f.err
+	return r.one(ctx, b, l)
 }
 
 // Sampled runs the benchmark with time-series sampling enabled (used by
-// the Figure 1-3 time-series plots; not cached, but still bounded by the
-// runner's job slots).
+// the Figure 1-3 time-series plots). The sample interval is part of the
+// lane's key, so sampled runs never alias the canonical run; they stay
+// silent on the progress board, which keys rows by manager.
 func (r *Runner) Sampled(ctx context.Context, b workload.Benchmark, kind Kind, sampleInterval uint64) (*sim.Result, error) {
-	// Sampled runs are uncached extras sharing a key with the canonical
-	// run, so they stay silent on the progress board.
-	return r.simulate(ctx, b, kindRun(kind), sampleInterval, false)
+	l := kindLane(kind)
+	l.SampleInterval = sampleInterval
+	l.Quality = false
+	l.Silent = true
+	return r.one(ctx, b, l)
 }
 
 // Telemetry runs the benchmark with the time-series store attached as an
 // extra event sink (used by the power-trace figure and `powerchop top`'s
-// in-process mode). Like Sampled it is never cached — a cached result
-// cannot replay the per-window series — but still bounded by the
-// runner's job slots. The runner's shared Tracer, if any, stays attached
-// alongside, so figure output remains byte-identical either way.
+// in-process mode). Like every observed lane it is never cached or
+// deduplicated, but still bounded by the runner's job slots, and like
+// Sampled it stays silent on progress. The runner's shared Tracer, if
+// any, stays attached alongside, so figure output remains byte-identical
+// either way.
 func (r *Runner) Telemetry(ctx context.Context, b workload.Benchmark, kind Kind, ts *tsdb.Store) (*sim.Result, error) {
-	rs := kindRun(kind)
-	rs.telemetry = ts
-	return r.simulate(ctx, b, rs, 0, false)
+	l := kindLane(kind)
+	l.Telemetry = ts
+	l.Silent = true
+	return r.one(ctx, b, l)
 }
 
 // BatchRun selects one lane of a ResultBatch call: a fixed experiment
@@ -327,109 +378,147 @@ type BatchRun struct {
 
 // ResultBatch returns the runs of the benchmark under every requested
 // configuration, in input order, with Result's singleflight and
-// persistent-cache semantics per lane. Lanes not already in flight or
-// in the cache share batched simulations — one instruction walk driving
-// every lane (internal/sim.RunBatch) — which is byte-identical to solo
-// runs: the batch only amortizes the shared front-end work.
+// persistent-cache semantics per lane. Cold lanes share batched
+// simulations — one instruction walk driving every lane of a group
+// (internal/sim.RunBatch) — which is byte-identical to solo runs: the
+// batch only amortizes the shared front-end work.
 func (r *Runner) ResultBatch(ctx context.Context, b workload.Benchmark, runs []BatchRun) ([]*sim.Result, error) {
-	rss := make([]runSpec, len(runs))
+	lanes := make([]Lane, len(runs))
 	for i, br := range runs {
-		if br.Policy != "" {
-			rs, err := policyRun(br.Policy, br.Params)
-			if err != nil {
-				return nil, err
-			}
-			rss[i] = rs
-		} else {
-			rss[i] = kindRun(br.Kind)
-		}
-	}
-	return r.resultBatch(ctx, b, rss)
-}
-
-// batchCap resolves the runner's Batch setting into a group cap. The
-// default matches the root package's: past ~16 lanes the per-lane work
-// dominates and wider groups only cost memory.
-func (r *Runner) batchCap() int {
-	if r.Batch <= 0 {
-		return 16
-	}
-	return r.Batch
-}
-
-// resultBatch is the batched counterpart of result: it claims a flight
-// per lane (lanes already in flight elsewhere are simply awaited),
-// serves persistent-cache hits, and drives the cold remainder through
-// batched simulations. A failed flight is dropped for retry, exactly
-// like result's.
-func (r *Runner) resultBatch(ctx context.Context, b workload.Benchmark, rss []runSpec) ([]*sim.Result, error) {
-	if r.batchCap() == 1 || r.Tracer != nil {
-		// Nothing to batch — and with a tracer attached every run wants
-		// its own solo event stream (and bypasses the cache) anyway.
-		out := make([]*sim.Result, len(rss))
-		for i, rs := range rss {
-			res, err := r.result(ctx, b, rs)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	flights := make([]*flight, len(rss))
-	owned := make([]int, 0, len(rss))
-	r.mu.Lock()
-	for i, rs := range rss {
-		key := b.Name + "/" + rs.managerKey
-		if f, ok := r.flights[key]; ok {
-			// Already in flight (possibly owned earlier in this very
-			// loop, for duplicate lanes): await it below.
-			flights[i] = f
+		if br.Policy == "" {
+			lanes[i] = kindLane(br.Kind)
 			continue
 		}
+		l, err := policyLane(br.Policy, br.Params)
+		if err != nil {
+			return nil, err
+		}
+		lanes[i] = l
+	}
+	return r.benchmark(ctx, b, lanes)
+}
+
+// policyLane is PolicyLane for a policy named in the registry.
+func policyLane(name string, params policy.Params) (Lane, error) {
+	spec, ok := policy.Lookup(name)
+	if !ok {
+		return Lane{}, fmt.Errorf("experiments: unknown policy %q", name)
+	}
+	return PolicyLane(spec, params)
+}
+
+// one submits a single lane template on the benchmark.
+func (r *Runner) one(ctx context.Context, b workload.Benchmark, l Lane) (*sim.Result, error) {
+	res, err := r.benchmark(ctx, b, []Lane{l})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// benchmark completes lane templates with the benchmark's program, its
+// design point and the runner's run length, then runs them. A benchmark
+// that fails to build fails every lane, reported as such.
+func (r *Runner) benchmark(ctx context.Context, b workload.Benchmark, lanes []Lane) ([]*sim.Result, error) {
+	t, err := r.template(b)
+	if err != nil {
+		for i := range lanes {
+			if !lanes[i].Silent {
+				r.report(RunUpdate{Benchmark: b.Name, Kind: Kind(lanes[i].ManagerKey), State: RunError, Err: err})
+			}
+		}
+		return nil, err
+	}
+	for i := range lanes {
+		l := &lanes[i]
+		l.Program, l.Design, l.RunLen, l.digest, l.design = t.Program, t.Design, t.RunLen, t.digest, t.design
+	}
+	return r.Run(ctx, lanes)
+}
+
+// template returns the benchmark's memoized lane template: its built
+// program, design point, run length and their hashed key fields.
+// Programs are immutable once built, so every lane may share one.
+func (r *Runner) template(b workload.Benchmark) (Lane, error) {
+	r.mu.Lock()
+	t, ok := r.benches[b.Name]
+	r.mu.Unlock()
+	if ok {
+		return t, nil
+	}
+	p, err := b.Build()
+	if err != nil {
+		return Lane{}, err
+	}
+	t = Lane{Program: p, Design: designFor(b), RunLen: r.runLength(p.TotalScheduleTranslations())}
+	t.digest, t.design = t.hash()
+	r.mu.Lock()
+	r.benches[b.Name] = t
+	r.mu.Unlock()
+	return t, nil
+}
+
+// Run executes the lanes and returns their results in input order. Every
+// lane takes the same path:
+//
+//  1. a flight: a lane whose key is already in flight (or done) awaits
+//     that flight instead of simulating;
+//  2. a persistent-cache lookup, or a counted bypass for lanes that
+//     cannot be cached;
+//  3. a job slot, held by one simulation group at a time;
+//  4. cold lanes are chunked, per program and in submission order, into
+//     sim.RunBatch groups of min(batch cap, ⌈cold lanes ÷ jobs⌉) lanes,
+//     and a call's groups run concurrently, up to jobs at a time;
+//  5. a cache put of each fresh result;
+//  6. a progress "done" (or "error") report.
+//
+// Observed lanes skip the flight and the cache and run alone. A failed
+// flight is dropped so a later call retries; Run returns the first
+// failure in lane order.
+func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
+	keys := make([]rescache.Key, len(lanes))
+	for i := range lanes {
+		if !lanes[i].observed() {
+			keys[i] = lanes[i].key()
+		}
+	}
+	flights := make([]*flight, len(lanes))
+	owned := make([]int, 0, len(lanes))
+	r.mu.Lock()
+	for i := range lanes {
+		if !lanes[i].observed() {
+			if f, ok := r.flights[keys[i]]; ok {
+				// In flight elsewhere, or owned earlier in this very loop
+				// for a duplicate lane: await it below.
+				flights[i] = f
+				continue
+			}
+		}
 		f := &flight{done: make(chan struct{})}
-		r.flights[key] = f
+		if !lanes[i].observed() {
+			r.flights[keys[i]] = f
+		}
 		flights[i] = f
 		owned = append(owned, i)
 	}
 	r.mu.Unlock()
-	if len(owned) > 0 {
-		r.simulateBatch(ctx, b, rss, flights, owned)
-	}
-	out := make([]*sim.Result, len(rss))
-	for i := range rss {
-		<-flights[i].done
-		if flights[i].err != nil {
-			return nil, flights[i].err
-		}
-		out[i] = flights[i].res
-	}
-	return out, nil
-}
 
-// simulateBatch executes the owned lanes: persistent-cache hits resolve
-// immediately (never occupying a job slot), the rest simulate in groups
-// of at most batchCap lanes, each group holding one slot. Every owned
-// flight is filled and closed here; a group failure fails every lane
-// still pending in this call.
-func (r *Runner) simulateBatch(ctx context.Context, b workload.Benchmark, rss []runSpec, flights []*flight, owned []int) {
 	started := time.Now()
-	var runLen uint64
 	settle := func(i int, res *sim.Result, err error) {
-		f := flights[i]
+		l, f := &lanes[i], flights[i]
 		f.res, f.err = res, err
-		if err != nil {
+		if err != nil && !l.observed() {
 			r.mu.Lock()
-			delete(r.flights, b.Name+"/"+rss[i].managerKey)
+			delete(r.flights, keys[i])
 			r.mu.Unlock()
 		}
-		if r.Progress != nil {
-			u := RunUpdate{Benchmark: b.Name, Kind: rss[i].label, State: RunDone, Elapsed: time.Since(started)}
+		if !l.Silent {
+			u := RunUpdate{Benchmark: l.Program.Name, Kind: Kind(l.ManagerKey), State: RunDone, Elapsed: time.Since(started)}
 			if err != nil {
 				u.State, u.Err = RunError, err
 			} else {
 				u.Cycles, u.Windows = res.Cycles, res.Windows
-				u.Translations, u.Total = runLen, runLen
+				u.Translations, u.Total = l.RunLen, l.RunLen
 			}
 			r.report(u)
 		}
@@ -437,202 +526,155 @@ func (r *Runner) simulateBatch(ctx context.Context, b workload.Benchmark, rss []
 	}
 
 	for _, i := range owned {
-		r.report(RunUpdate{Benchmark: b.Name, Kind: rss[i].label, State: RunQueued})
-	}
-	p, err := b.Build()
-	if err != nil {
-		for _, i := range owned {
-			settle(i, nil, err)
+		if !lanes[i].Silent {
+			r.report(RunUpdate{Benchmark: lanes[i].Program.Name, Kind: Kind(lanes[i].ManagerKey), State: RunQueued})
 		}
-		return
 	}
-	runLen = r.runLength(p.TotalScheduleTranslations())
-	keys := make([]rescache.Key, len(rss))
-	cacheable := make([]bool, len(rss))
-	var cold []int
+	cold := make([]int, 0, len(owned))
 	for _, i := range owned {
-		keys[i], cacheable[i] = r.cacheKey(b, p, rss[i], 0, runLen)
-		if cacheable[i] {
-			if hit, ok := r.Cache.Get(keys[i]); ok {
+		if r.Cache != nil {
+			if r.alone(&lanes[i]) {
+				r.Cache.CountBypass()
+			} else if hit, ok := r.Cache.Get(keys[i]); ok {
 				settle(i, hit, nil)
 				continue
 			}
 		}
 		cold = append(cold, i)
 	}
-	width := r.batchCap()
-	for lo := 0; lo < len(cold); lo += width {
-		hi := lo + width
-		if hi > len(cold) {
-			hi = len(cold)
-		}
-		group := cold[lo:hi]
-		res, err := r.simulateGroup(ctx, b, p, rss, group, runLen)
-		if err != nil {
-			for _, i := range cold[lo:] {
-				settle(i, nil, err)
+
+	groups := r.groups(lanes, cold)
+	var next atomic.Int64
+	work := func() {
+		for g := next.Add(1) - 1; g < int64(len(groups)); g = next.Add(1) - 1 {
+			group := groups[g]
+			res, err := r.simulateGroup(ctx, lanes, group)
+			for j, i := range group {
+				if err != nil {
+					settle(i, nil, err)
+					continue
+				}
+				if r.Cache != nil && !r.alone(&lanes[i]) {
+					// Best-effort: a failed store is counted by the cache
+					// and must not fail a run that produced a good result.
+					_ = r.Cache.Put(keys[i], res[j])
+				}
+				settle(i, res[j], nil)
 			}
-			return
-		}
-		for j, i := range group {
-			if cacheable[i] {
-				// Best-effort, as on the solo path.
-				_ = r.Cache.Put(keys[i], res[j])
-			}
-			settle(i, res[j], nil)
 		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(r.Jobs(), len(groups)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	out := make([]*sim.Result, len(lanes))
+	for i, f := range flights {
+		<-f.done
+		if f.err != nil {
+			return nil, f.err
+		}
+		out[i] = f.res
+	}
+	return out, nil
 }
 
-// simulateGroup runs one batched group while holding a single job slot
-// (the group shares one instruction walk, so it costs about one
-// simulation's worth of sequential work plus the per-lane residue).
-func (r *Runner) simulateGroup(ctx context.Context, b workload.Benchmark, p *program.Program, rss []runSpec, lanes []int, runLen uint64) (res []*sim.Result, err error) {
-	ctx, sp := span.Start(ctx, "benchbatch",
-		"bench="+b.Name, fmt.Sprintf("lanes=%d", len(lanes)))
+// groups chunks the cold lanes, per program and in submission order,
+// into simulation groups of at most min(batch cap, ⌈cold lanes ÷ jobs⌉)
+// lanes, so that every job has a group to drive; lanes that must run
+// alone get a group of their own. Groups are ordered by their first
+// lane.
+func (r *Runner) groups(lanes []Lane, cold []int) [][]int {
+	width := r.Batch
+	if width <= 0 {
+		width = defaultBatchCap
+	}
+	width = min(width, (len(cold)+r.Jobs()-1)/r.Jobs())
+	var out [][]int
+	open := map[*program.Program]int{}
+	for _, i := range cold {
+		if r.alone(&lanes[i]) {
+			out = append(out, []int{i})
+			continue
+		}
+		g, ok := open[lanes[i].Program]
+		if !ok || len(out[g]) == width {
+			open[lanes[i].Program] = len(out)
+			out = append(out, []int{i})
+			continue
+		}
+		out[g] = append(out[g], i)
+	}
+	return out
+}
+
+// simulateGroup runs one group while holding a job slot: a group of one
+// under a "benchmark" span (sim.RunBatch runs it solo, beneath a "sim"
+// span), a wider group under a "benchbatch" span over sim.RunBatch's
+// shared walk ("simbatch"). Observed lanes' JSONL traces are flushed as
+// the group ends.
+func (r *Runner) simulateGroup(ctx context.Context, lanes []Lane, group []int) (res []*sim.Result, err error) {
+	p := lanes[group[0]].Program
+	var sp *span.Span
+	if len(group) == 1 {
+		ctx, sp = span.Start(ctx, "benchmark", "bench="+p.Name, "kind="+lanes[group[0]].ManagerKey)
+	} else {
+		ctx, sp = span.Start(ctx, "benchbatch", "bench="+p.Name, "lanes="+strconv.Itoa(len(group)))
+	}
 	defer func() { sp.EndErr(err) }()
-	cfgs := make([]sim.Config, len(lanes))
-	for j, i := range lanes {
-		m, err := rss[i].build()
+	r.sem <- struct{}{}
+	defer func() { <-r.sem }()
+
+	cfgs := make([]sim.Config, len(group))
+	var traces []*obs.JSONL
+	for j, i := range group {
+		l := &lanes[i]
+		m, err := l.Manager()
 		if err != nil {
 			return nil, err
 		}
+		tracer := obs.Multi(l.Tracer, r.Tracer)
+		if l.TraceWriter != nil {
+			trace := obs.NewJSONL(l.TraceWriter)
+			traces = append(traces, trace)
+			tracer = obs.Multi(trace, tracer)
+		}
 		cfgs[j] = sim.Config{
 			Context:         ctx,
-			Design:          designFor(b),
+			Design:          l.Design,
 			Manager:         m,
-			MaxTranslations: runLen,
-			TrackQuality:    rss[i].quality,
-			Telemetry:       rss[i].telemetry,
+			MaxTranslations: l.RunLen,
+			SampleInterval:  l.SampleInterval,
+			TrackQuality:    l.Quality,
+			Tracer:          tracer,
+			Metrics:         l.Metrics,
+			Audit:           l.Audit,
+			Telemetry:       l.Telemetry,
 		}
-		if r.Progress != nil {
-			label := rss[i].label
-			cfgs[j].Progress = func(pr sim.Progress) {
-				r.report(RunUpdate{
-					Benchmark:    b.Name,
-					Kind:         label,
-					State:        RunSimulating,
-					Cycles:       pr.Cycle,
-					Translations: pr.Translations,
-					Total:        pr.MaxTranslations,
-					Windows:      pr.Windows,
-				})
-			}
-		}
-	}
-	r.sem <- struct{}{}
-	defer func() { <-r.sem }()
-	if r.Progress != nil {
-		for _, i := range lanes {
-			r.report(RunUpdate{Benchmark: b.Name, Kind: rss[i].label, State: RunSimulating})
-		}
-	}
-	r.sims.Add(uint64(len(lanes)))
-	res, err = sim.RunBatch(p, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s batch: %w", b.Name, err)
-	}
-	return res, nil
-}
-
-// cacheKey derives the canonical persistent-cache key for a run, or
-// reports that the cache must be skipped: no cache configured, or a
-// tracer or telemetry store attached (a cached result cannot replay the
-// event stream — that skip is counted as a bypass).
-func (r *Runner) cacheKey(b workload.Benchmark, p *program.Program, rs runSpec, sampleInterval, runLen uint64) (rescache.Key, bool) {
-	if r.Cache == nil {
-		return rescache.Key{}, false
-	}
-	if r.Tracer != nil || rs.telemetry != nil {
-		r.Cache.CountBypass()
-		return rescache.Key{}, false
-	}
-	return rescache.Key{
-		Program: p.Digest(),
-		Design:  rescache.Fingerprint(designFor(b)),
-		Manager: rs.managerKey,
-		Config: fmt.Sprintf("translations=%d sample=%d quality=%t",
-			runLen, sampleInterval, sampleInterval == 0 && rs.quality),
-	}, true
-}
-
-// simulate executes one run while holding a job slot. Only simulating
-// goroutines occupy slots — flight waiters block outside and persistent
-// cache hits return before acquisition — so the pool cannot deadlock
-// however callers fan out.
-func (r *Runner) simulate(ctx context.Context, b workload.Benchmark, rs runSpec, sampleInterval uint64, report bool) (res *sim.Result, err error) {
-	ctx, sp := span.Start(ctx, "benchmark",
-		"bench="+b.Name, "kind="+string(rs.label))
-	defer func() { sp.EndErr(err) }()
-	report = report && r.Progress != nil
-	var runLen uint64
-	if report {
-		started := time.Now()
-		defer func() {
-			u := RunUpdate{Benchmark: b.Name, Kind: rs.label, State: RunDone, Elapsed: time.Since(started)}
-			if err != nil {
-				u.State, u.Err = RunError, err
-			} else {
-				u.Cycles, u.Windows = res.Cycles, res.Windows
-				u.Translations, u.Total = runLen, runLen
-			}
+		if r.Progress != nil && !l.Silent {
+			u := RunUpdate{Benchmark: p.Name, Kind: Kind(l.ManagerKey), State: RunSimulating}
 			r.report(u)
-		}()
-	}
-
-	m, err := rs.build()
-	if err != nil {
-		return nil, err
-	}
-	p, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	runLen = r.runLength(p.TotalScheduleTranslations())
-	key, cacheable := r.cacheKey(b, p, rs, sampleInterval, runLen)
-	if cacheable {
-		if hit, ok := r.Cache.Get(key); ok {
-			return hit, nil
+			cfgs[j].Progress = func(pr sim.Progress) {
+				u.Cycles, u.Translations, u.Total, u.Windows = pr.Cycle, pr.Translations, pr.MaxTranslations, pr.Windows
+				r.report(u)
+			}
 		}
 	}
-
-	r.sem <- struct{}{}
-	defer func() { <-r.sem }()
-	if report {
-		r.report(RunUpdate{Benchmark: b.Name, Kind: rs.label, State: RunSimulating})
-	}
-	r.sims.Add(1)
-	cfg := sim.Config{
-		Context:         ctx,
-		Design:          designFor(b),
-		Manager:         m,
-		MaxTranslations: runLen,
-		SampleInterval:  sampleInterval,
-		TrackQuality:    sampleInterval == 0 && rs.quality,
-		Tracer:          r.Tracer,
-		Telemetry:       rs.telemetry,
-	}
-	if report {
-		cfg.Progress = func(pr sim.Progress) {
-			r.report(RunUpdate{
-				Benchmark:    b.Name,
-				Kind:         rs.label,
-				State:        RunSimulating,
-				Cycles:       pr.Cycle,
-				Translations: pr.Translations,
-				Total:        pr.MaxTranslations,
-				Windows:      pr.Windows,
-			})
+	r.sims.Add(uint64(len(group)))
+	res, err = sim.RunBatch(p, cfgs)
+	for _, trace := range traces {
+		if ferr := trace.Flush(); ferr != nil && err == nil {
+			err = fmt.Errorf("flushing trace: %w", ferr)
 		}
 	}
-	res, err = sim.Run(p, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", b.Name, rs.label, err)
-	}
-	if cacheable {
-		// Best-effort: a failed store is counted by the cache but must
-		// not fail the run that produced a perfectly good result.
-		_ = r.Cache.Put(key, res)
+		return nil, fmt.Errorf("experiments: %s: %w", p.Name, err)
 	}
 	return res, nil
 }

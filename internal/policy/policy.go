@@ -17,6 +17,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -89,7 +90,8 @@ func (s Spec) param(name string) (Param, bool) {
 }
 
 // Validate checks an assignment against the schema: every supplied key
-// must exist and every value must sit within its parameter's bounds.
+// must exist and every value must sit within its parameter's bounds
+// (NaN never does).
 // Missing parameters are fine — Resolve fills defaults.
 func (s Spec) Validate(p Params) error {
 	// Deterministic error selection: report the lexically first
@@ -104,7 +106,9 @@ func (s Spec) Validate(p Params) error {
 		if !ok {
 			return fmt.Errorf("policy %s: unknown parameter %q (known: %v)", s.Name, k, s.paramNames())
 		}
-		if v := p[k]; v < sp.Min || v > sp.Max {
+		// NaN compares false against both bounds, so it is rejected
+		// explicitly: it would otherwise pass and fingerprint as "NaN".
+		if v := p[k]; math.IsNaN(v) || v < sp.Min || v > sp.Max {
 			return fmt.Errorf("policy %s: parameter %s = %v out of [%v, %v]", s.Name, k, v, sp.Min, sp.Max)
 		}
 	}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -166,4 +167,53 @@ func TestBuiltinsRegistered(t *testing.T) {
 			t.Fatalf("%s: Build returned a shared manager instance", name)
 		}
 	}
+}
+
+// TestNaNRejected checks every registered policy rejects NaN for each of
+// its parameters with the bounds error: NaN compares false against both
+// bounds, so a plain range check lets it through to a "NaN" fingerprint.
+func TestNaNRejected(t *testing.T) {
+	for _, s := range All() {
+		for _, prm := range s.Params {
+			p := Params{prm.Name: math.NaN()}
+			if _, err := s.Fingerprint(p); err == nil || !strings.Contains(err.Error(), "out of") {
+				t.Errorf("%s: %s = NaN: Fingerprint error %v, want the bounds error", s.Name, prm.Name, err)
+			}
+			if _, err := s.Manager(p); err == nil {
+				t.Errorf("%s: %s = NaN: Manager built", s.Name, prm.Name)
+			}
+		}
+	}
+}
+
+// FuzzParams checks the parameter boundary of every registered policy:
+// for any policy, parameter and value, Fingerprint either errors, or the
+// value is finite and within the parameter's bounds and Manager builds
+// without panicking.
+func FuzzParams(f *testing.F) {
+	specs := All()
+	for si, s := range specs {
+		for pi, prm := range s.Params {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), prm.Min, prm.Max} {
+				f.Add(uint(si), uint(pi), v)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, si, pi uint, v float64) {
+		s := specs[si%uint(len(specs))]
+		if len(s.Params) == 0 {
+			return
+		}
+		prm := s.Params[pi%uint(len(s.Params))]
+		p := Params{prm.Name: v}
+		if _, err := s.Fingerprint(p); err != nil {
+			return
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < prm.Min || v > prm.Max {
+			t.Fatalf("%s: %s = %v accepted outside [%v, %v]", s.Name, prm.Name, v, prm.Min, prm.Max)
+		}
+		// An in-bounds value may still violate a cross-parameter rule,
+		// which Build reports as an error; it must never panic.
+		_, _ = s.Manager(p)
+	})
 }

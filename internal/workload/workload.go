@@ -52,6 +52,9 @@ type Benchmark struct {
 // Build constructs the benchmark's guest program. Programs are
 // deterministic: every call returns an identical program.
 func (b Benchmark) Build() (*program.Program, error) {
+	if b.build == nil {
+		return nil, fmt.Errorf("workload %s: no program generator (not a registered benchmark)", b.Name)
+	}
 	p, err := b.build()
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", b.Name, err)

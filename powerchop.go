@@ -29,13 +29,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"powerchop/internal/arch"
+	"powerchop/internal/experiments"
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/audit"
-	"powerchop/internal/obs/span"
 	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/policy"
 	"powerchop/internal/program"
@@ -102,7 +101,9 @@ type Options struct {
 	TimeoutCycles float64
 	// TraceWriter, when non-nil, receives the run's event trace as JSONL
 	// (one event per line; see DESIGN.md "Observability"). The stream is
-	// flushed before Run returns.
+	// flushed when the run ends, so the lanes of a RunBatch, Compare or
+	// Tune may share one writer: their streams follow each other in lane
+	// order, byte-identical to serial Runs.
 	TraceWriter io.Writer
 	// Metrics enables metrics collection; the snapshot lands in
 	// Report.Metrics.
@@ -125,23 +126,27 @@ type Options struct {
 	// pure observer like Tracer: results are bit-identical with or
 	// without it.
 	Telemetry *tsdb.Store
-	// Progress, when non-nil, is called at every window boundary and once
-	// on completion. The callback is a pure observer: results are
-	// bit-identical with or without it.
+	// Progress, when non-nil, receives the run's lifecycle: queued,
+	// simulating (then at every window boundary), and done or error. The
+	// callback is a pure observer: results are bit-identical with or
+	// without it.
 	Progress func(RunProgress)
-	// Parallelism, when above one, lets Compare run its three
-	// configurations concurrently (each simulation stays
-	// single-threaded and deterministic, so the Reports are identical
-	// to a serial run). It is ignored when TraceWriter is set, where
-	// serial execution keeps the three event streams from interleaving.
+	// Parallelism, when above one, lets RunBatch, Compare and Tune run
+	// up to that many simulation groups concurrently, their cold lanes
+	// split into groups of at most ⌈lanes ÷ Parallelism⌉ (each
+	// simulation stays single-threaded and deterministic, so the Reports
+	// are identical to a serial run). It is ignored when a TraceWriter
+	// is set, where serial execution keeps the event streams from
+	// interleaving.
 	Parallelism int
-	// Batch caps how many configurations one batched simulation group
+	// Batch caps how many lanes one batched simulation group
 	// (sim.RunBatch) drives from a single trace walk: 0 selects the
-	// default cap, 1 disables batching entirely, larger values set the
-	// cap. Batching is a pure wall-clock optimization — RunBatch, Compare
-	// and Tune produce byte-identical Reports at any setting — so the
-	// only reasons to change it are memory (each lane holds its own MLC
-	// copy once gated) and A/B timing.
+	// default cap of 16, 1 gives every lane a simulation of its own,
+	// larger values set the cap. Batching is a pure wall-clock
+	// optimization — RunBatch, Compare and Tune produce byte-identical
+	// Reports at any setting — so the only reasons to change it are
+	// memory (each lane holds its own MLC copy once gated) and A/B
+	// timing.
 	Batch int
 	// Cache, when non-nil, is a persistent content-addressed result
 	// store (internal/rescache): Run consults it before simulating and
@@ -177,8 +182,10 @@ const (
 // how far along the simulated clock has advanced.
 type RunProgress struct {
 	Benchmark string
-	// Kind is the run's configuration (a manager name for single runs, an
-	// experiments kind like "full-power" for figure sweeps).
+	// Kind is the run's configuration: the policy fingerprint for Run,
+	// RunBatch, Compare and Tune lanes (e.g. "timeout{idle-cycles=20000}",
+	// so every grid point of a sweep is its own row), the experiment
+	// kind (e.g. "full-power") for figure runs.
 	Kind  string
 	State string
 	// Cycles is the current simulated cycle count.
@@ -512,202 +519,98 @@ func Run(benchmark string, opts Options) (*Report, error) {
 }
 
 // RunContext is Run under a context. When ctx carries a span
-// (internal/obs/span) the run executes under a "benchmark" child span
-// and the simulation beneath a "sim" span — pure observation; the
+// (internal/obs/span) a simulated run executes under a "benchmark" child
+// span and the simulation beneath a "sim" span — pure observation; the
 // Report is byte-identical regardless of ctx.
 func RunContext(ctx context.Context, benchmark string, opts Options) (*Report, error) {
+	b, p, err := build(benchmark)
+	if err != nil {
+		return nil, err
+	}
+	return runOne(ctx, p, b, opts)
+}
+
+// build looks up and builds a benchmark's program.
+func build(benchmark string) (workload.Benchmark, *program.Program, error) {
 	b, err := workload.ByName(benchmark)
 	if err != nil {
-		return nil, err
+		return b, nil, err
 	}
 	p, err := b.Build()
+	return b, p, err
+}
+
+// runOne runs one option set on a built program as a one-lane call.
+func runOne(ctx context.Context, p *program.Program, b workload.Benchmark, opts Options) (*Report, error) {
+	l, err := lane(p, b, opts)
 	if err != nil {
 		return nil, err
 	}
-	return runProgram(ctx, p, b, opts)
-}
-
-// runProgram executes a built program and converts the result.
-func runProgram(ctx context.Context, p *program.Program, b workload.Benchmark, opts Options) (rep *Report, err error) {
-	manager := opts.Manager
-	if manager == "" {
-		manager = ManagerPowerChop
-	}
-	ctx, sp := span.Start(ctx, "benchmark",
-		"bench="+b.Name, "manager="+manager)
-	defer func() { sp.EndErr(err) }()
-	lane, err := prepareRun(ctx, p, b, opts)
+	reps, err := submit(ctx, opts, []experiments.Lane{l})
 	if err != nil {
 		return nil, err
 	}
-	if rep, ok := lane.cached(); ok {
-		return rep, nil
-	}
-	res, err := sim.Run(p, lane.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return lane.finish(res)
+	return reps[0], nil
 }
 
-// laneRun is one prepared simulation lane: the assembled sim.Config plus
-// the cache and trace plumbing a public Run performs around it. Both the
-// solo path (runProgram) and the batched path (runProgramBatch) prepare
-// lanes the same way, which is what keeps their cache keys, progress
-// reports and Reports identical.
-type laneRun struct {
-	bench    string
-	kind     string // manager name, for progress reports
-	cfg      sim.Config
-	trace    *obs.JSONL
-	resCache *rescache.Cache
-	cacheKey rescache.Key
-	progress func(RunProgress)
-}
-
-// prepareRun resolves the options into a ready-to-simulate lane:
-// policy and design resolution, run length, observer sinks, persistent
-// cache keying (with bypass counting) and the progress adapter.
-func prepareRun(ctx context.Context, p *program.Program, b workload.Benchmark, opts Options) (*laneRun, error) {
+// lane resolves one option set into a simulation request on a built
+// program: policy and design resolution (the policy fingerprint, which
+// validates the parameters, is the lane's manager key), run length and
+// observers.
+func lane(p *program.Program, b workload.Benchmark, opts Options) (experiments.Lane, error) {
 	spec, params, err := resolvePolicy(opts)
 	if err != nil {
-		return nil, err
+		return experiments.Lane{}, err
 	}
-	// Fingerprint validates parameters (bounds, unknown names) and
-	// renders the canonical policy identity for the cache key.
-	fingerprint, err := spec.Fingerprint(params)
+	l, err := experiments.PolicyLane(spec, params)
 	if err != nil {
-		return nil, err
+		return experiments.Lane{}, err
 	}
-	m, err := spec.Manager(params)
-	if err != nil {
-		return nil, err
-	}
-	design, err := designFor(opts, b)
-	if err != nil {
-		return nil, err
+	if l.Design, err = designFor(opts, b); err != nil {
+		return experiments.Lane{}, err
 	}
 	passes := opts.Passes
 	if passes <= 0 {
 		passes = 2
 	}
-	lane := &laneRun{
-		bench:    b.Name,
-		kind:     m.Name(),
-		progress: opts.Progress,
-	}
-	var sinks []obs.Tracer
-	if opts.TraceWriter != nil {
-		lane.trace = obs.NewJSONL(opts.TraceWriter)
-		sinks = append(sinks, lane.trace)
-	}
-	if opts.Tracer != nil {
-		sinks = append(sinks, opts.Tracer)
-	}
-	lane.cfg = sim.Config{
-		Context:         ctx,
-		Design:          design,
-		Manager:         m,
-		MaxTranslations: uint64(passes * float64(p.TotalScheduleTranslations())),
-		SampleInterval:  opts.SampleInterval,
-		Tracer:          obs.Multi(sinks...),
-		Metrics:         opts.Metrics,
-		Audit:           opts.Audit,
-		Telemetry:       opts.Telemetry,
-	}
-
-	// Persistent result cache: consult before simulating, fill after. Any
-	// run with an observer attached bypasses (a cached result cannot
-	// replay the event stream or rebuild metrics/audit trails); the skip
-	// is counted so /metrics shows it happening.
-	resCache := opts.Cache
-	if resCache == nil && opts.CacheDir != "" {
-		resCache = rescache.New(opts.CacheDir, nil)
-	}
-	if resCache != nil {
-		if opts.TraceWriter != nil || opts.Tracer != nil || opts.Metrics || opts.Audit || opts.Telemetry != nil {
-			resCache.CountBypass()
-		} else {
-			lane.resCache = resCache
-			lane.cacheKey = cacheKeyFor(p, design, fingerprint, opts, lane.cfg.MaxTranslations)
-		}
-	}
-
-	if progress := opts.Progress; progress != nil {
-		started := time.Now()
-		name, kind := b.Name, lane.kind
-		lane.cfg.Progress = func(pr sim.Progress) {
-			state := StateSimulating
-			if pr.Done {
-				state = StateDone
-			}
-			progress(RunProgress{
-				Benchmark:    name,
-				Kind:         kind,
-				State:        state,
-				Cycles:       pr.Cycle,
-				Translations: pr.Translations,
-				Total:        pr.MaxTranslations,
-				Windows:      pr.Windows,
-				Elapsed:      time.Since(started),
-			})
-		}
-	}
-	return lane, nil
+	l.Program = p
+	l.RunLen = uint64(passes * float64(p.TotalScheduleTranslations()))
+	l.SampleInterval = opts.SampleInterval
+	l.TraceWriter, l.Tracer, l.Telemetry = opts.TraceWriter, opts.Tracer, opts.Telemetry
+	l.Metrics, l.Audit = opts.Metrics, opts.Audit
+	return l, nil
 }
 
-// cached consults the lane's persistent cache; on a hit it delivers the
-// done progress report and returns the finished Report.
-func (l *laneRun) cached() (*Report, bool) {
-	if l.resCache == nil {
-		return nil, false
-	}
-	res, ok := l.resCache.Get(l.cacheKey)
-	if !ok {
-		return nil, false
-	}
-	if l.progress != nil {
-		l.progress(RunProgress{
-			Benchmark:    l.bench,
-			Kind:         l.kind,
-			State:        StateDone,
-			Cycles:       res.Cycles,
-			Translations: l.cfg.MaxTranslations,
-			Total:        l.cfg.MaxTranslations,
-			Windows:      res.Windows,
-		})
-	}
-	return reportOf(res), true
-}
-
-// finish flushes the lane's trace, files the result in the persistent
-// cache and converts it into the public Report.
-func (l *laneRun) finish(res *sim.Result) (*Report, error) {
-	if l.trace != nil {
-		if err := l.trace.Flush(); err != nil {
-			return nil, fmt.Errorf("powerchop: flushing trace: %w", err)
+// submit runs lanes on a per-call experiments.Runner set up from the
+// call's options: jobs = max(1, Parallelism), or one when any lane writes
+// a JSONL trace (so event streams sharing a writer never interleave); the
+// Batch cap; the Progress callback; and the persistent cache — Cache, or
+// one opened from CacheDir once for the whole call.
+func submit(ctx context.Context, opts Options, lanes []experiments.Lane) ([]*Report, error) {
+	jobs := max(1, opts.Parallelism)
+	for i := range lanes {
+		if lanes[i].TraceWriter != nil {
+			jobs = 1
 		}
 	}
-	if l.resCache != nil {
-		// Best-effort: a failed store is counted by the cache and must
-		// not fail a run that produced a good result.
-		_ = l.resCache.Put(l.cacheKey, res)
+	r := experiments.NewParallelRunner(1, jobs)
+	r.Batch = opts.Batch
+	r.Cache = opts.Cache
+	if r.Cache == nil && opts.CacheDir != "" {
+		r.Cache = rescache.New(opts.CacheDir, nil)
 	}
-	return reportOf(res), nil
-}
-
-// defaultBatchCap bounds the lanes one batched simulation group drives
-// when Options.Batch is zero. Batching amortizes the shared front-end
-// (trace walk, L1, small predictor) across lanes; past ~16 lanes the
-// remaining per-lane work dominates and wider groups only cost memory.
-const defaultBatchCap = 16
-
-// batchCap resolves an Options.Batch value into a concrete group cap.
-func batchCap(batch int) int {
-	if batch <= 0 {
-		return defaultBatchCap
+	if opts.Progress != nil {
+		r.Progress = progressSink(opts.Progress)
 	}
-	return batch
+	results, err := r.Run(ctx, lanes)
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]*Report, len(results))
+	for i, res := range results {
+		reps[i] = reportOf(res)
+	}
+	return reps, nil
 }
 
 // RunBatch simulates the benchmark once per option set and returns the
@@ -717,99 +620,30 @@ func batchCap(batch int) int {
 // DESIGN.md "Batched sweep execution"). Lanes whose results are already
 // in the persistent cache are served from it without simulating; lanes
 // with an event-stream consumer attached (TraceWriter, Tracer, Metrics,
-// Audit, Telemetry) fall back to solo simulation transparently. The
-// first option set's Batch field caps the lanes per simulation group.
+// Audit, Telemetry) simulate alone. The first option set's Parallelism,
+// Batch, Cache, CacheDir and Progress apply to the whole batch.
 func RunBatch(benchmark string, optsList []Options) ([]*Report, error) {
 	return RunBatchContext(context.Background(), benchmark, optsList)
 }
 
 // RunBatchContext is RunBatch under a context. When ctx carries a span
-// the batch executes under a "benchbatch" child span.
+// each batched group executes under a "benchbatch" child span (a lane
+// simulating alone under a "benchmark" span).
 func RunBatchContext(ctx context.Context, benchmark string, optsList []Options) ([]*Report, error) {
-	b, err := workload.ByName(benchmark)
+	b, p, err := build(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	p, err := b.Build()
-	if err != nil {
-		return nil, err
+	if len(optsList) == 0 {
+		return []*Report{}, nil
 	}
-	var batch int
-	if len(optsList) > 0 {
-		batch = optsList[0].Batch
-	}
-	reports := make([]*Report, len(optsList))
-	for lo := 0; lo < len(optsList); lo += batchCap(batch) {
-		hi := lo + batchCap(batch)
-		if hi > len(optsList) {
-			hi = len(optsList)
-		}
-		chunk, err := runProgramBatch(ctx, p, b, optsList[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		copy(reports[lo:hi], chunk)
-	}
-	return reports, nil
-}
-
-// runProgramBatch executes one built program under several option sets
-// through a single batched simulation: lanes are prepared exactly like
-// solo runs (same cache keys, same progress reports), cache hits are
-// served without simulating, and the cold remainder goes through
-// sim.RunBatch in one group.
-func runProgramBatch(ctx context.Context, p *program.Program, b workload.Benchmark, optsList []Options) (reps []*Report, err error) {
-	ctx, sp := span.Start(ctx, "benchbatch",
-		"bench="+b.Name, fmt.Sprintf("lanes=%d", len(optsList)))
-	defer func() { sp.EndErr(err) }()
-	reports := make([]*Report, len(optsList))
-	lanes := make([]*laneRun, len(optsList))
-	var cold []int
+	lanes := make([]experiments.Lane, len(optsList))
 	for i, o := range optsList {
-		lane, err := prepareRun(ctx, p, b, o)
-		if err != nil {
+		if lanes[i], err = lane(p, b, o); err != nil {
 			return nil, fmt.Errorf("powerchop: batch lane %d: %w", i, err)
 		}
-		lanes[i] = lane
-		if rep, ok := lane.cached(); ok {
-			reports[i] = rep
-			continue
-		}
-		cold = append(cold, i)
 	}
-	if len(cold) > 0 {
-		cfgs := make([]sim.Config, len(cold))
-		for j, i := range cold {
-			cfgs[j] = lanes[i].cfg
-		}
-		results, err := sim.RunBatch(p, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range cold {
-			rep, err := lanes[i].finish(results[j])
-			if err != nil {
-				return nil, err
-			}
-			reports[i] = rep
-		}
-	}
-	return reports, nil
-}
-
-// cacheKeyFor derives the persistent-cache key for a public Run. The
-// manager field is the policy fingerprint — the registered policy name
-// plus the canonical rendering of its fully resolved parameters — so
-// every input that shapes the manager is in the key, and two processes
-// sweeping the same parameter grid share entries exactly.
-func cacheKeyFor(p *program.Program, design arch.Design, fingerprint string, opts Options, maxTranslations uint64) rescache.Key {
-	return rescache.Key{
-		Program: p.Digest(),
-		Design:  rescache.Fingerprint(design),
-		Manager: fingerprint,
-		Config: fmt.Sprintf("translations=%d sample=%d",
-			maxTranslations, opts.SampleInterval),
-	}
+	return submit(ctx, optsList[0], lanes)
 }
 
 // reportOf flattens a simulator result into the public Report.
@@ -909,69 +743,30 @@ func (c *Comparison) EnergyReduction() float64 {
 }
 
 // Compare runs the benchmark under full-power, PowerChop and min-power.
-// With Options.Parallelism above one (and no TraceWriter) the three runs
-// execute concurrently; otherwise (unless Options.Batch is 1 or a
-// TraceWriter is attached) they share one batched simulation, which is
-// byte-identical to the serial runs but roughly twice as fast cold.
+// The three runs are lanes of one call, so they share batched
+// simulations or run concurrently as Options.Batch and
+// Options.Parallelism allow; the Reports are byte-identical to three
+// serial Runs either way. A TraceWriter receives the three event streams
+// in run order: full-power, powerchop, min-power.
 func Compare(benchmark string, opts Options) (*Comparison, error) {
-	c := &Comparison{Benchmark: benchmark}
-	configs := []struct {
-		manager string
-		into    **Report
-	}{
-		{ManagerFullPower, &c.FullPower},
-		{ManagerPowerChop, &c.PowerChop},
-		{ManagerMinPower, &c.MinPower},
+	b, p, err := build(benchmark)
+	if err != nil {
+		return nil, err
 	}
-	run := func(manager string, into **Report) error {
+	managers := []string{ManagerFullPower, ManagerPowerChop, ManagerMinPower}
+	lanes := make([]experiments.Lane, len(managers))
+	for i, m := range managers {
 		o := opts
-		o.Manager = manager
-		rep, err := Run(benchmark, o)
-		if err != nil {
-			return err
-		}
-		*into = rep
-		return nil
-	}
-	if opts.Parallelism > 1 && opts.TraceWriter == nil {
-		errs := make([]error, len(configs))
-		var wg sync.WaitGroup
-		for i, cfg := range configs {
-			wg.Add(1)
-			go func(i int, manager string, into **Report) {
-				defer wg.Done()
-				errs[i] = run(manager, into)
-			}(i, cfg.manager, cfg.into)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
-	}
-	if opts.Batch != 1 && opts.TraceWriter == nil {
-		optsList := make([]Options, len(configs))
-		for i, cfg := range configs {
-			optsList[i] = opts
-			optsList[i].Manager = cfg.manager
-		}
-		reps, err := RunBatch(benchmark, optsList)
-		if err != nil {
-			return nil, err
-		}
-		for i, cfg := range configs {
-			*cfg.into = reps[i]
-		}
-		return c, nil
-	}
-	for _, cfg := range configs {
-		if err := run(cfg.manager, cfg.into); err != nil {
+		o.Manager = m
+		if lanes[i], err = lane(p, b, o); err != nil {
 			return nil, err
 		}
 	}
-	return c, nil
+	reps, err := submit(context.Background(), opts, lanes)
+	if err != nil {
+		return nil, err
+	}
+	return &Comparison{Benchmark: benchmark, FullPower: reps[0], PowerChop: reps[1], MinPower: reps[2]}, nil
 }
 
 // SortedBenchmarks returns benchmark names sorted alphabetically.

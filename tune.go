@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
+	"powerchop/internal/experiments"
 	"powerchop/internal/obs/span"
 	"powerchop/internal/policy"
-	"powerchop/internal/rescache"
 	"powerchop/internal/stats"
 	"powerchop/internal/textplot"
-	"powerchop/internal/workload"
 )
 
 // TuneOptions configures a parameter-grid sweep of one policy.
@@ -237,12 +235,14 @@ func markPareto(points []TunePoint) []TunePoint {
 
 // Tune sweeps the policy's parameter grid and returns every point's
 // (energy saved, slowdown) vs the full-power baseline, averaged over
-// the benchmarks, plus the Pareto frontier. Cold grid points share
-// batched simulations (unless Options.Batch is 1), which is a pure
-// wall-clock optimization: with Options.Cache (or CacheDir) set the
-// sweep fills and reuses exactly the same persistent entries as Run
-// and Compare, and every point reconciles byte-for-byte with a solo
-// Run at the same parameters.
+// the benchmarks, plus the Pareto frontier. Each benchmark's baseline
+// and grid points are lanes of one call: cold lanes share batched
+// simulations (unless Options.Batch is 1) and, with Options.Parallelism
+// above one, the groups run concurrently. Batching is a pure wall-clock
+// optimization: with Options.Cache (or CacheDir) set the sweep fills
+// and reuses exactly the same persistent entries as Run and Compare,
+// and every point reconciles byte-for-byte with a solo Run at the same
+// parameters.
 func Tune(opts TuneOptions) (*TuneResult, error) {
 	return TuneContext(context.Background(), opts)
 }
@@ -266,201 +266,50 @@ func TuneContext(ctx context.Context, opts TuneOptions) (res *TuneResult, err er
 		"policy="+spec.Name, fmt.Sprintf("points=%d", len(grid)))
 	defer func() { sp.EndErr(err) }()
 
+	// Per benchmark: the full-power baseline, then every grid point.
 	base := opts.Options
 	base.Manager, base.Params, base.Thresholds, base.TimeoutCycles = "", nil, nil, 0
-	// One shared cache across the sweep: opening per-run caches from
-	// CacheDir would fragment the counters.
-	if base.Cache == nil && base.CacheDir != "" {
-		base.Cache = rescache.New(base.CacheDir, nil)
-		base.CacheDir = ""
+	stride := len(grid) + 1
+	lanes := make([]experiments.Lane, 0, stride*len(benchmarks))
+	for _, bench := range benchmarks {
+		b, p, err := build(bench)
+		if err != nil {
+			return nil, err
+		}
+		o := base
+		o.Manager = ManagerFullPower
+		for i := -1; i < len(grid); i++ {
+			if i >= 0 {
+				o.Manager, o.Params = spec.Name, grid[i]
+			}
+			l, err := lane(p, b, o)
+			if err != nil {
+				return nil, err
+			}
+			lanes = append(lanes, l)
+		}
+	}
+	reports, err := submit(ctx, base, lanes)
+	if err != nil {
+		return nil, err
 	}
 
 	points := make([]TunePoint, len(grid))
-	if opts.Options.Batch != 1 && base.TraceWriter == nil {
-		if err := tuneBatched(ctx, spec, benchmarks, grid, base,
-			opts.Options.Parallelism, opts.Options.Batch, points); err != nil {
-			return nil, err
-		}
-		res = &TuneResult{Policy: spec.Name, Benchmarks: benchmarks, Points: points}
-		res.Frontier = markPareto(res.Points)
-		return res, nil
-	}
-
-	// Solo sweep (Batch=1 or a TraceWriter attached): every grid point
-	// runs through RunContext individually.
-	full := make(map[string]*Report, len(benchmarks))
-	for _, bench := range benchmarks {
-		o := base
-		o.Manager = ManagerFullPower
-		rep, err := RunContext(ctx, bench, o)
-		if err != nil {
-			return nil, err
-		}
-		full[bench] = rep
-	}
-
-	runPoint := func(i int) error {
-		params := grid[i]
-		fp, err := spec.Fingerprint(params)
-		if err != nil {
-			return err
-		}
+	for i, params := range grid {
 		var saved, slow []float64
-		for _, bench := range benchmarks {
-			o := base
-			o.Manager = spec.Name
-			o.Params = params
-			rep, err := RunContext(ctx, bench, o)
-			if err != nil {
-				return err
-			}
-			f := full[bench]
+		for bi := range benchmarks {
+			f, rep := reports[bi*stride], reports[bi*stride+1+i]
 			saved = append(saved, 1-rep.TotalEnergyJ/f.TotalEnergyJ)
 			slow = append(slow, rep.Cycles/f.Cycles-1)
 		}
 		points[i] = TunePoint{
 			Params:      params,
-			Fingerprint: fp,
+			Fingerprint: lanes[1+i].ManagerKey,
 			EnergySaved: stats.Mean(saved),
 			Slowdown:    stats.Mean(slow),
 		}
-		return nil
 	}
-	if jobs := opts.Options.Parallelism; jobs > 1 && opts.Options.TraceWriter == nil {
-		sem := make(chan struct{}, jobs)
-		errs := make([]error, len(grid))
-		var wg sync.WaitGroup
-		for i := range grid {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				errs[i] = runPoint(i)
-			}(i)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
-		}
-	} else {
-		for i := range grid {
-			if err := runPoint(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	res = &TuneResult{Policy: spec.Name, Benchmarks: benchmarks, Points: points}
 	res.Frontier = markPareto(res.Points)
 	return res, nil
-}
-
-// tuneBatched executes the sweep through batched simulations: each
-// benchmark's full-power baseline and grid points are chunked into
-// groups that share one instruction walk (sim.RunBatch). Lanes are
-// prepared exactly like solo Runs — same persistent-cache keys, same
-// progress reports — so the point results and the cache entries they
-// fill reconcile byte-for-byte with Run, Compare and a Batch=1 sweep.
-// With Parallelism above one, chunks shrink so every worker has a group
-// to drive, and the groups run concurrently.
-func tuneBatched(ctx context.Context, spec policy.Spec, benchmarks []string, grid []policy.Params, base Options, jobs, batch int, points []TunePoint) error {
-	lanesPer := len(grid) + 1 // index 0 is the full-power baseline
-	chunk := batchCap(batch)
-	if jobs > 1 {
-		if even := (lanesPer*len(benchmarks) + jobs - 1) / jobs; even < chunk {
-			chunk = even
-		}
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	type unit struct{ bench, lo, hi int }
-	var units []unit
-	laneOpts := make([][]Options, len(benchmarks))
-	reports := make([][]*Report, len(benchmarks))
-	for bi := range benchmarks {
-		lanes := make([]Options, 0, lanesPer)
-		o := base
-		o.Manager = ManagerFullPower
-		lanes = append(lanes, o)
-		for _, params := range grid {
-			o := base
-			o.Manager = spec.Name
-			o.Params = params
-			lanes = append(lanes, o)
-		}
-		laneOpts[bi] = lanes
-		reports[bi] = make([]*Report, lanesPer)
-		for lo := 0; lo < lanesPer; lo += chunk {
-			hi := lo + chunk
-			if hi > lanesPer {
-				hi = lanesPer
-			}
-			units = append(units, unit{bi, lo, hi})
-		}
-	}
-	runUnit := func(u unit) error {
-		b, err := workload.ByName(benchmarks[u.bench])
-		if err != nil {
-			return err
-		}
-		p, err := b.Build()
-		if err != nil {
-			return err
-		}
-		reps, err := runProgramBatch(ctx, p, b, laneOpts[u.bench][u.lo:u.hi])
-		if err != nil {
-			return err
-		}
-		copy(reports[u.bench][u.lo:u.hi], reps)
-		return nil
-	}
-	if jobs > 1 {
-		sem := make(chan struct{}, jobs)
-		errs := make([]error, len(units))
-		var wg sync.WaitGroup
-		for i, u := range units {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, u unit) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				errs[i] = runUnit(u)
-			}(i, u)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-	} else {
-		for _, u := range units {
-			if err := runUnit(u); err != nil {
-				return err
-			}
-		}
-	}
-	for i, params := range grid {
-		fp, err := spec.Fingerprint(params)
-		if err != nil {
-			return err
-		}
-		var saved, slow []float64
-		for bi := range benchmarks {
-			f, rep := reports[bi][0], reports[bi][i+1]
-			saved = append(saved, 1-rep.TotalEnergyJ/f.TotalEnergyJ)
-			slow = append(slow, rep.Cycles/f.Cycles-1)
-		}
-		points[i] = TunePoint{
-			Params:      params,
-			Fingerprint: fp,
-			EnergySaved: stats.Mean(saved),
-			Slowdown:    stats.Mean(slow),
-		}
-	}
-	return nil
 }

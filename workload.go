@@ -175,5 +175,5 @@ func RunWorkload(w *Workload, opts Options) (*Report, error) {
 	if opts.Arch == ArchAuto {
 		opts.Arch = ArchServer
 	}
-	return runProgram(context.Background(), p, workload.Benchmark{Name: w.Name, Suite: "custom"}, opts)
+	return runOne(context.Background(), p, workload.Benchmark{Name: w.Name, Suite: "custom"}, opts)
 }
