@@ -29,9 +29,10 @@ check: build vet race
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem
 
-# Observability hot-path overhead only.
+# Observer overhead only: every tracer, span, audit and telemetry case
+# against one shared baseline.
 bench-overhead:
-	$(GO) test -run '^$$' -bench BenchmarkTracerOverhead -benchtime 5x -benchmem
+	$(GO) test -run '^$$' -bench BenchmarkObserverOverhead -benchtime 5x -benchmem
 
 # One quick pass over every benchmark, recorded as BENCH_<stamp>.json —
 # the perf-trajectory artifact CI uploads (non-blocking).

@@ -555,142 +555,97 @@ func BenchmarkAblationPVTReplacement(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerOverhead measures the observability layer's cost on the
-// simulator hot path: no tracer at all (the baseline), the no-op tracer,
-// an in-memory ring, and a JSONL writer to io.Discard. The no-op and nil
-// cases should be within noise of each other — tracing off must not tax
-// the simulation.
-func BenchmarkTracerOverhead(b *testing.B) {
-	bench := mustBench(b, "bzip2")
-	p := bench.MustBuild()
-	cases := []struct {
-		name   string
-		tracer func() obs.Tracer
-	}{
-		{"nil", func() obs.Tracer { return nil }},
-		{"nop", func() obs.Tracer { return obs.Nop{} }},
-		{"ring", func() obs.Tracer { return obs.NewRing(4096) }},
-		{"jsonl", func() obs.Tracer { return obs.NewJSONL(io.Discard) }},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var insns uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(p, sim.Config{
-					Design:          arch.Server(),
-					Manager:         core.MustPowerChop(core.DefaultConfig()),
-					MaxTranslations: 50000,
-					Tracer:          c.tracer(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				insns = res.GuestInsns
-			}
-			b.ReportMetric(float64(insns), "insns/op")
-		})
-	}
-}
-
-// BenchmarkSpanOverhead measures the service-observability layer's cost
-// on a run: detached is the plain simulation, spans adds a request→sim
-// span tree (emitted to a JSONL sink on io.Discard, the serve path's
-// shape), and spans+runlog additionally journals a run-history record
-// per run. Spans are created at run granularity — never inside the
-// simulator loop — so all three cases must be within noise.
-func BenchmarkSpanOverhead(b *testing.B) {
-	bench := mustBench(b, "bzip2")
-	p := bench.MustBuild()
-	store, err := runlog.Open(b.TempDir())
+// BenchmarkObserverOverhead measures what each observer costs a
+// PowerChop run of bzip2, against one shared baseline (none): the no-op
+// tracer, an in-memory ring and a JSONL writer to io.Discard (tracing
+// off must not tax the simulation); a request→sim span tree on a JSONL
+// sink, alone and with a run-history record per run (spans sit at run
+// granularity, never inside the simulator loop); the decision-provenance
+// auditor with the metrics collector that hosts its histograms (what
+// `powerchop explain` pays over `powerchop run`); and telemetry ingest
+// into a default store, alone, stacked on a ring (the serve monitor's
+// shape) and with the default alert ruleset ticking every millisecond.
+func BenchmarkObserverOverhead(b *testing.B) {
+	p := mustBench(b, "bzip2").MustBuild()
+	journal, err := runlog.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
+	telemetry := func(cfg *sim.Config, tracer obs.Tracer) *tsdb.Store {
+		ts := tsdb.NewStore(tsdb.DefaultConfig())
+		cfg.Tracer = obs.Multi(tsdb.NewIngestor(ts, tsdb.IngestorConfig{Units: arch.GatedUnits()}), tracer)
+		return ts
+	}
+	spans := func(cfg *sim.Config) *span.Span {
+		ctx, root := span.Root(context.Background(), obs.NewJSONL(io.Discard),
+			"request", span.NewRequestID(), "route=bench")
+		cfg.Context = ctx
+		return root
+	}
+	// Each case wires its observer into the run's config and returns
+	// what finishes it after the run, or nil.
 	cases := []struct {
 		name   string
-		spans  bool
-		runlog bool
+		attach func(cfg *sim.Config) (finish func(*sim.Result))
 	}{
-		{"detached", false, false},
-		{"spans", true, false},
-		{"spans+runlog", true, true},
+		{"none", func(*sim.Config) func(*sim.Result) { return nil }},
+		{"nop", func(cfg *sim.Config) func(*sim.Result) { cfg.Tracer = obs.Nop{}; return nil }},
+		{"ring", func(cfg *sim.Config) func(*sim.Result) { cfg.Tracer = obs.NewRing(4096); return nil }},
+		{"jsonl", func(cfg *sim.Config) func(*sim.Result) { cfg.Tracer = obs.NewJSONL(io.Discard); return nil }},
+		{"spans", func(cfg *sim.Config) func(*sim.Result) {
+			root := spans(cfg)
+			return func(*sim.Result) { root.End() }
+		}},
+		{"spans+runlog", func(cfg *sim.Config) func(*sim.Result) {
+			start, root := time.Now(), spans(cfg)
+			return func(*sim.Result) {
+				root.End()
+				if err := journal.Append(runlog.Record{
+					Kind: "run", Name: "bzip2", SpanID: root.ID(),
+					DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"audit+metrics", func(cfg *sim.Config) func(*sim.Result) {
+			cfg.Audit, cfg.Metrics = true, true
+			return func(res *sim.Result) {
+				if res.Audit == nil {
+					b.Fatal("audit trail missing")
+				}
+			}
+		}},
+		{"tsdb", func(cfg *sim.Config) func(*sim.Result) { telemetry(cfg, nil); return nil }},
+		{"tsdb+ring", func(cfg *sim.Config) func(*sim.Result) { telemetry(cfg, obs.NewRing(4096)); return nil }},
+		{"tsdb+alerts", func(cfg *sim.Config) func(*sim.Result) {
+			ev, err := alert.New(alert.Config{Rules: alert.DefaultRules(), Store: telemetry(cfg, nil)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			stop := ev.Start(time.Millisecond)
+			return func(*sim.Result) { stop() }
+		}},
 	}
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			var insns uint64
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg := sim.Config{
 					Design:          arch.Server(),
 					Manager:         core.MustPowerChop(core.DefaultConfig()),
 					MaxTranslations: 50000,
 				}
-				var root *span.Span
-				start := time.Now()
-				if c.spans {
-					ctx, r := span.Root(context.Background(), obs.NewJSONL(io.Discard),
-						"request", span.NewRequestID(), "route=bench")
-					cfg.Context = ctx
-					root = r
-				}
+				finish := c.attach(&cfg)
 				res, err := sim.Run(p, cfg)
-				root.End()
 				if err != nil {
 					b.Fatal(err)
 				}
-				insns = res.GuestInsns
-				if c.runlog {
-					if err := store.Append(runlog.Record{
-						Kind: "run", Name: "bzip2", SpanID: root.ID(),
-						DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(insns), "insns/op")
-		})
-	}
-}
-
-// BenchmarkExplainOverhead measures what attaching the decision-
-// provenance auditor costs a run: detached is the plain simulation,
-// attached adds audit collection (and the metrics collector whose
-// registry hosts the audit histograms), mirroring what `powerchop
-// explain` and /api/explain pay over `powerchop run`.
-func BenchmarkExplainOverhead(b *testing.B) {
-	bench := mustBench(b, "bzip2")
-	p := bench.MustBuild()
-	cases := []struct {
-		name    string
-		audit   bool
-		metrics bool
-	}{
-		{"detached", false, false},
-		{"attached", true, true},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var insns uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(p, sim.Config{
-					Design:          arch.Server(),
-					Manager:         core.MustPowerChop(core.DefaultConfig()),
-					MaxTranslations: 50000,
-					Audit:           c.audit,
-					Metrics:         c.metrics,
-				})
-				if err != nil {
-					b.Fatal(err)
+				if finish != nil {
+					finish(res)
 				}
 				insns = res.GuestInsns
-				if c.audit && res.Audit == nil {
-					b.Fatal("audit trail missing")
-				}
 			}
 			b.ReportMetric(float64(insns), "insns/op")
 		})
@@ -749,108 +704,4 @@ func BenchmarkTune(b *testing.B) {
 	b.ReportMetric(float64(len(res.Points)), "grid-points")
 	b.ReportMetric(cold.Seconds(), "cold-s")
 	b.ReportMetric(100*warm.Seconds()/cold.Seconds(), "%of-cold")
-}
-
-// BenchmarkTelemetryOverhead measures the time-series store's cost on
-// the simulator hot path: no observer at all (the baseline), telemetry
-// ingest into a default multi-level store, and telemetry stacked on a
-// ring tracer (the serve monitor's shape). Ingest work happens only at
-// window boundaries, so the overhead must stay a small fraction of the
-// run.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	bench := mustBench(b, "bzip2")
-	p := bench.MustBuild()
-	cases := []struct {
-		name string
-		cfg  func() (*tsdb.Store, obs.Tracer)
-	}{
-		{"none", func() (*tsdb.Store, obs.Tracer) { return nil, nil }},
-		{"tsdb", func() (*tsdb.Store, obs.Tracer) {
-			return tsdb.NewStore(tsdb.DefaultConfig()), nil
-		}},
-		{"tsdb+ring", func() (*tsdb.Store, obs.Tracer) {
-			return tsdb.NewStore(tsdb.DefaultConfig()), obs.NewRing(4096)
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var windows uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ts, tracer := c.cfg()
-				res, err := sim.Run(p, sim.Config{
-					Design:          arch.Server(),
-					Manager:         core.MustPowerChop(core.DefaultConfig()),
-					MaxTranslations: 50000,
-					Tracer:          tracer,
-					Telemetry:       ts,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				windows = res.Windows
-			}
-			b.ReportMetric(float64(windows), "windows/op")
-		})
-	}
-}
-
-// BenchmarkAlertOverhead measures the alert evaluator's cost on top of
-// telemetry: the same simulation with a bare store (baseline), with the
-// default ruleset ticking on a fast wall-clock interval, and with the
-// ruleset evaluated eagerly after the run. The evaluator reads window
-// aggregates at stride boundaries only, so its overhead must stay
-// within run-to-run noise.
-func BenchmarkAlertOverhead(b *testing.B) {
-	bench := mustBench(b, "bzip2")
-	p := bench.MustBuild()
-	cases := []struct {
-		name   string
-		ticker bool // start a live ticker for the run's duration
-	}{
-		{"tsdb", false},
-		{"tsdb+alerts", true},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var windows, fired uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ts := tsdb.NewStore(tsdb.DefaultConfig())
-				var ev *alert.Evaluator
-				var stop func()
-				if c.ticker {
-					var err error
-					ev, err = alert.New(alert.Config{
-						Rules: alert.DefaultRules(),
-						Store: ts,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stop = ev.Start(time.Millisecond)
-				}
-				res, err := sim.Run(p, sim.Config{
-					Design:          arch.Server(),
-					Manager:         core.MustPowerChop(core.DefaultConfig()),
-					MaxTranslations: 50000,
-					Telemetry:       ts,
-				})
-				if stop != nil {
-					stop()
-					fired = ev.FiredTotal()
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				windows = res.Windows
-			}
-			b.ReportMetric(float64(windows), "windows/op")
-			if c.ticker {
-				b.ReportMetric(float64(fired), "fired/op")
-			}
-		})
-	}
 }

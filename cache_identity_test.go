@@ -25,7 +25,11 @@ func TestWarmCacheFiguresByteIdentical(t *testing.T) {
 		return buf.String()
 	}
 
-	uncached := render()
+	plain, err := plainFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached := string(plain)
 	cache := rescache.New(t.TempDir(), nil)
 	cold := render(WithCache(cache))
 	if st := cache.Stats(); st.Stores == 0 {

@@ -11,10 +11,9 @@
 //	powerchop compare -bench namd [-passes 2] [-cache DIR]
 //	powerchop tune -policy powerchop [-bench gobmk,namd] [-grid vpu=0.001:0.02:4] [-jobs N] [-json] [-cache DIR]
 //	powerchop explain -bench gobmk [-manager M] [-arch A] [-top 20] [-json]
-//	powerchop trace [-top 20] out.jsonl
+//	powerchop trace [-top 20] [-arch server] out.jsonl   (alias: trace audit)
 //	powerchop trace timeline [-last 40] out.jsonl
 //	powerchop trace chrome [-o out.json] out.jsonl
-//	powerchop trace audit [-top 20] [-arch server] out.jsonl
 //	powerchop figure -id fig12 [-scale 1] [-jobs N] [-http :8080] [-cache DIR]
 //	powerchop all [-scale 1] [-jobs N] [-http :8080] [-cache DIR]
 //	powerchop headline [-scale 1] [-jobs N] [-http :8080] [-cache DIR]
@@ -52,7 +51,6 @@ import (
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/audit"
 	"powerchop/internal/obs/tsdb"
-	"powerchop/internal/power"
 	"powerchop/internal/rescache"
 )
 
@@ -184,10 +182,10 @@ commands:
   run -bench NAME [flags]       simulate one benchmark
   compare -bench NAME [flags]   full-power vs PowerChop vs min-power
   explain -bench NAME [flags]   decision provenance: scores, thresholds, attribution
-  trace [-top N] FILE           summarize a JSONL event trace per phase
+  trace [-top N] [-arch A] FILE per-phase attribution of a JSONL event trace
+                                (alias: trace audit)
   trace timeline [-last N] FILE per-window phase/gating timeline table
   trace chrome [-o OUT] FILE    export as Chrome trace-event JSON (chrome://tracing)
-  trace audit [-arch A] FILE    replay a trace through the attribution engine
   figure -id ID [-scale F] [-jobs N]   regenerate one paper figure/table
   all [-scale F] [-jobs N]             regenerate every figure/table
   headline [-scale F] [-jobs N]        per-suite slowdown/power/energy summary
@@ -489,11 +487,24 @@ func cmdExplain(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// cmdTraceAudit replays a recorded JSONL trace through the
-// decision-provenance auditor, pricing the attribution at the chosen
-// design point (a recorded trace carries no power model of its own).
-func cmdTraceAudit(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("trace audit", flag.ContinueOnError)
+// cmdTrace dispatches the trace tooling: the default report replays a
+// recorded JSONL trace through the decision-provenance auditor, pricing
+// the per-phase attribution at the chosen design point (a recorded
+// trace carries no power model of its own); "audit" is its synonym.
+// "timeline" prints the per-window table and "chrome" the trace-event
+// export.
+func cmdTrace(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "timeline":
+			return cmdTraceTimeline(args[1:], stdout)
+		case "chrome":
+			return cmdTraceChrome(args[1:], stdout)
+		case "audit":
+			args = args[1:]
+		}
+	}
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	in := fs.String("in", "", "trace file (JSONL); also accepted as a positional argument")
 	top := fs.Int("top", 20, "maximum phases and decisions to list (0 = all)")
 	archName := fs.String("arch", "server", "design point pricing the attribution (server|mobile)")
@@ -508,50 +519,11 @@ func cmdTraceAudit(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	a, err := audit.New(audit.Config{
-		ClockHz: d.ClockHz,
-		Units: []audit.UnitPower{
-			{Name: d.PowerVPU.Name, LeakageW: d.PowerVPU.LeakageW},
-			{Name: d.PowerBPU.Name, LeakageW: d.PowerBPU.LeakageW},
-			{Name: d.PowerMLC.Name, LeakageW: d.PowerMLC.LeakageW},
-		},
-		TotalLeakageW: d.TotalLeakageW() + power.HTBPowerW,
-	})
-	if err != nil {
-		return err
-	}
+	a := audit.MustNew(audit.DesignConfig(d))
 	for _, e := range events {
 		a.Emit(e)
 	}
 	fmt.Fprint(stdout, a.Snapshot().Render(*top))
-	return nil
-}
-
-// cmdTrace dispatches the trace tooling: the default per-phase summary,
-// plus "timeline" (per-window table), "chrome" (trace-event export) and
-// "audit" (decision-provenance attribution replay).
-func cmdTrace(args []string, stdout io.Writer) error {
-	if len(args) > 0 {
-		switch args[0] {
-		case "timeline":
-			return cmdTraceTimeline(args[1:], stdout)
-		case "chrome":
-			return cmdTraceChrome(args[1:], stdout)
-		case "audit":
-			return cmdTraceAudit(args[1:], stdout)
-		}
-	}
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	in := fs.String("in", "", "trace file (JSONL); also accepted as a positional argument")
-	top := fs.Int("top", 20, "maximum phases to list")
-	if err := fs.Parse(args); err != nil {
-		return errParse(err)
-	}
-	events, err := readTraceEvents(fs, *in)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, obs.Summarize(events).Render(*top))
 	return nil
 }
 

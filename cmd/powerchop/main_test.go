@@ -144,8 +144,8 @@ func TestCmdTrace(t *testing.T) {
 	if err := cmdTrace([]string{path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "events") || !strings.Contains(out.String(), "<taa>") {
-		t.Errorf("trace summary: %q", out.String())
+	if !strings.Contains(out.String(), "\n<taa> ") {
+		t.Errorf("trace report has no <taa> attribution row: %q", out.String())
 	}
 
 	// -in flag form.

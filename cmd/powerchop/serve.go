@@ -22,7 +22,6 @@ import (
 	"powerchop/internal/obs/serve"
 	"powerchop/internal/obs/span"
 	"powerchop/internal/obs/tsdb"
-	"powerchop/internal/power"
 	"powerchop/internal/rescache"
 )
 
@@ -48,22 +47,12 @@ type liveMonitor struct {
 func newLiveMonitor() *liveMonitor {
 	collector := obs.NewCollector()
 	mon := serve.NewMonitor(collector.Registry())
-	d := arch.Server()
-	auditor := audit.MustNew(audit.Config{
-		ClockHz: d.ClockHz,
-		Units: []audit.UnitPower{
-			{Name: d.PowerVPU.Name, LeakageW: d.PowerVPU.LeakageW},
-			{Name: d.PowerBPU.Name, LeakageW: d.PowerBPU.LeakageW},
-			{Name: d.PowerMLC.Name, LeakageW: d.PowerMLC.LeakageW},
-		},
-		TotalLeakageW: d.TotalLeakageW() + power.HTBPowerW,
-		Registry:      collector.Registry(),
-	})
+	cfg := audit.DesignConfig(arch.Server())
+	cfg.Registry = collector.Registry()
+	auditor := audit.MustNew(cfg)
 	mon.SetDecisions(auditor)
 	store := tsdb.NewStore(tsdb.DefaultConfig())
-	ingest := tsdb.NewIngestor(store, tsdb.IngestorConfig{
-		Units: []string{arch.UnitBPU, arch.UnitMLC, arch.UnitVPU},
-	})
+	ingest := tsdb.NewIngestor(store, tsdb.IngestorConfig{Units: arch.GatedUnits()})
 	mon.SetTelemetry(store)
 	return &liveMonitor{
 		mon:       mon,

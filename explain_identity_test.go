@@ -15,7 +15,6 @@ import (
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/audit"
 	"powerchop/internal/obs/serve"
-	"powerchop/internal/power"
 	"powerchop/internal/pvt"
 )
 
@@ -32,23 +31,10 @@ func TestExplainAttachedByteIdentical(t *testing.T) {
 			"auditor concurrency is exercised by the unit tests")
 	}
 
-	var silent bytes.Buffer
-	if err := NewFigureRunner(0.02, WithJobs(4)).RenderAll(&silent); err != nil {
-		t.Fatal(err)
-	}
-
 	collector := obs.NewCollector()
-	d := arch.Server()
-	auditor := audit.MustNew(audit.Config{
-		ClockHz: d.ClockHz,
-		Units: []audit.UnitPower{
-			{Name: d.PowerVPU.Name, LeakageW: d.PowerVPU.LeakageW},
-			{Name: d.PowerBPU.Name, LeakageW: d.PowerBPU.LeakageW},
-			{Name: d.PowerMLC.Name, LeakageW: d.PowerMLC.LeakageW},
-		},
-		TotalLeakageW: d.TotalLeakageW() + power.HTBPowerW,
-		Registry:      collector.Registry(),
-	})
+	cfg := audit.DesignConfig(arch.Server())
+	cfg.Registry = collector.Registry()
+	auditor := audit.MustNew(cfg)
 	mon := serve.NewMonitor(collector.Registry())
 	mon.SetDecisions(auditor)
 	if err := mon.Start("127.0.0.1:0"); err != nil {
@@ -89,15 +75,7 @@ func TestExplainAttachedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !bytes.Equal(silent.Bytes(), live.Bytes()) {
-		sl, ll := bytes.Split(silent.Bytes(), []byte("\n")), bytes.Split(live.Bytes(), []byte("\n"))
-		for i := 0; i < len(sl) && i < len(ll); i++ {
-			if !bytes.Equal(sl[i], ll[i]) {
-				t.Fatalf("outputs diverge at line %d:\n silent:  %s\n audited: %s", i+1, sl[i], ll[i])
-			}
-		}
-		t.Fatalf("outputs differ in length: silent %d lines, audited %d lines", len(sl), len(ll))
-	}
+	requirePlainFigures(t, "audited", live.Bytes())
 
 	// The provenance surfaces must hold up after the render: the
 	// /decisions snapshot parses as a trail that saw decisions, and the

@@ -30,6 +30,9 @@ const (
 	UnitHTB  = "HTB"  // PowerChop's added hardware (HTB + PVT)
 )
 
+// GatedUnits returns the names of the units PowerChop gates, sorted.
+func GatedUnits() []string { return []string{UnitBPU, UnitMLC, UnitVPU} }
+
 // Design is a complete processor design point.
 type Design struct {
 	// Name labels the design ("server" or "mobile").

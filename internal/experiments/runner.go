@@ -246,8 +246,6 @@ type Lane struct {
 	// Metrics and Audit attach the metrics snapshot and the decision
 	// provenance trail to the result.
 	Metrics, Audit bool
-	// Telemetry streams the run's per-window series into the store.
-	Telemetry *tsdb.Store
 
 	// digest and design are the program digest and design fingerprint
 	// of the benchmark template the lane was copied from, if any.
@@ -256,7 +254,7 @@ type Lane struct {
 
 // observed reports whether the lane carries an observer of its own.
 func (l *Lane) observed() bool {
-	return l.TraceWriter != nil || l.Tracer != nil || l.Metrics || l.Audit || l.Telemetry != nil
+	return l.TraceWriter != nil || l.Tracer != nil || l.Metrics || l.Audit
 }
 
 // alone reports whether the lane must simulate in a group of its own and
@@ -352,16 +350,16 @@ func (r *Runner) Sampled(ctx context.Context, b workload.Benchmark, kind Kind, s
 	return r.one(ctx, b, l)
 }
 
-// Telemetry runs the benchmark with the time-series store attached as an
-// extra event sink (used by the power-trace figure and `powerchop top`'s
-// in-process mode). Like every observed lane it is never cached or
+// Telemetry runs the benchmark with a telemetry ingestor into the
+// time-series store attached as the lane's tracer (used by the
+// power-trace figure). Like every observed lane it is never cached or
 // deduplicated, but still bounded by the runner's job slots, and like
 // Sampled it stays silent on progress. The runner's shared Tracer, if
 // any, stays attached alongside, so figure output remains byte-identical
 // either way.
 func (r *Runner) Telemetry(ctx context.Context, b workload.Benchmark, kind Kind, ts *tsdb.Store) (*sim.Result, error) {
 	l := kindLane(kind)
-	l.Telemetry = ts
+	l.Tracer = tsdb.NewIngestor(ts, tsdb.IngestorConfig{Units: arch.GatedUnits()})
 	l.Silent = true
 	return r.one(ctx, b, l)
 }
@@ -655,7 +653,6 @@ func (r *Runner) simulateGroup(ctx context.Context, lanes []Lane, group []int) (
 			Tracer:          tracer,
 			Metrics:         l.Metrics,
 			Audit:           l.Audit,
-			Telemetry:       l.Telemetry,
 		}
 		if r.Progress != nil && !l.Silent {
 			u := RunUpdate{Benchmark: p.Name, Kind: Kind(l.ManagerKey), State: RunSimulating}

@@ -23,6 +23,11 @@
 // idle-timeout baseline's backdated VPU gate-offs) are clamped to the
 // audit clock, so exact reconciliation holds for the managers that only
 // gate at window boundaries — PowerChop itself.
+//
+// Unit power state follows the trace fold's run rule (obs.Fold): a
+// run-end returns every unit to full power, and the next run starts at
+// cycle 0 under "(boot)", so a trace of several runs audits to the
+// merge of the runs' own trails.
 package audit
 
 import (
@@ -30,6 +35,7 @@ import (
 	"fmt"
 	"sync"
 
+	"powerchop/internal/arch"
 	"powerchop/internal/obs"
 	"powerchop/internal/power"
 	"powerchop/internal/pvt"
@@ -63,6 +69,22 @@ type Config struct {
 	// distributions appear on /metrics. Nil creates a private registry
 	// whose snapshot is attached to the Trail.
 	Registry *obs.Registry
+}
+
+// DesignConfig prices attribution at a design point: the gateable
+// units' leakage budgets for attributed savings, and the whole-core
+// leakage, PowerChop's own HTB/PVT hardware included, for costing the
+// slowdown cycles decisions incur.
+func DesignConfig(d arch.Design) Config {
+	return Config{
+		ClockHz: d.ClockHz,
+		Units: []UnitPower{
+			{Name: d.PowerVPU.Name, LeakageW: d.PowerVPU.LeakageW},
+			{Name: d.PowerBPU.Name, LeakageW: d.PowerBPU.LeakageW},
+			{Name: d.PowerMLC.Name, LeakageW: d.PowerMLC.LeakageW},
+		},
+		TotalLeakageW: d.TotalLeakageW() + power.HTBPowerW,
+	}
 }
 
 // ScoreRecord is one unit's criticality measurement inside a decision:
@@ -197,7 +219,8 @@ type phaseAgg struct {
 // Auditor consumes the event stream and accumulates decision provenance.
 // It is safe for concurrent emission (one mutex around all state), so a
 // single auditor can observe several simulations at once — though
-// attribution is only meaningful for a single run's ordered stream.
+// attribution is only meaningful for runs whose streams follow each
+// other; interleaved runs merge best-effort.
 type Auditor struct {
 	mu  sync.Mutex
 	cfg Config
@@ -212,7 +235,9 @@ type Auditor struct {
 	hResidency *obs.Histogram
 	hScore     map[string]*obs.Histogram
 
-	fracs     map[string]float64
+	// units tracks unit power state; its first len(unitNames) slots are
+	// the attributed units.
+	units     *obs.Fold
 	lastCycle float64
 	governing *phaseAgg
 	phases    map[string]*phaseAgg
@@ -235,7 +260,6 @@ func New(cfg Config) (*Auditor, error) {
 	a := &Auditor{
 		cfg:       cfg,
 		leakW:     make(map[string]float64, len(cfg.Units)),
-		fracs:     make(map[string]float64, len(cfg.Units)),
 		phases:    make(map[string]*phaseAgg),
 		hScore:    make(map[string]*obs.Histogram, len(cfg.Units)),
 		firstMiss: make(map[string]uint64),
@@ -247,9 +271,9 @@ func New(cfg Config) (*Auditor, error) {
 		}
 		a.unitNames = append(a.unitNames, u.Name)
 		a.leakW[u.Name] = u.LeakageW
-		// Every unit starts fully powered at cycle 0 (gating.NewUnit).
-		a.fracs[u.Name] = 1
 	}
+	// Every unit starts fully powered at cycle 0 (gating.NewUnit).
+	a.units = obs.NewFold(a.unitNames, nil)
 	a.reg = cfg.Registry
 	if a.reg == nil {
 		a.reg = obs.NewRegistry()
@@ -305,8 +329,9 @@ func (a *Auditor) advance(cycle float64) {
 	dt := cycle - a.lastCycle
 	a.lastCycle = cycle
 	a.governing.att.Cycles += dt
-	for _, u := range a.unitNames {
-		if f := a.fracs[u]; f < 1 {
+	fracs := a.units.Fracs()
+	for i, u := range a.unitNames {
+		if f := fracs[i]; f < 1 {
 			a.governing.att.GatedCycles[u] += (1 - f) * dt
 		}
 	}
@@ -403,15 +428,22 @@ func (a *Auditor) Emit(e obs.Event) {
 		a.governing = p
 	case obs.KindGate:
 		a.advance(e.Cycle)
-		if _, known := a.fracs[e.Unit]; known {
-			a.fracs[e.Unit] = e.Next
-		}
 		a.governing.att.Transitions++
 		a.governing.att.GateStallCycles += e.Stall
 	case obs.KindRunEnd:
-		// Close the final span at exactly the simulator's close-out cycle.
+		// Close the final span at exactly the simulator's close-out
+		// cycle. The next run starts from boot: cycle 0, no decision in
+		// force, no profile or registration pending.
 		a.advance(e.Cycle)
+		a.lastCycle = 0
+		a.governing = a.phase(BootPhase)
+		a.pending = nil
+		clear(a.firstMiss)
+		clear(a.regWindow)
 	}
+	// Gating transitions and the run-end boot reset, after the span
+	// they close was charged at the old power state.
+	a.units.Emit(e)
 }
 
 // Snapshot derives the Trail from the state accumulated so far. The

@@ -13,7 +13,7 @@ import (
 // invocations, gating transitions — and each unit's power fraction once
 // the boundary settled.
 type TimelineRow struct {
-	// Window is the window's ordinal (1-based).
+	// Window is the window's recorded per-run ordinal (1-based).
 	Window uint64 `json:"window"`
 	// EndCycle is the simulated cycle at the window's close.
 	EndCycle float64 `json:"end_cycle"`
@@ -39,9 +39,9 @@ type TimelineRow struct {
 	Fracs []float64 `json:"fracs"`
 }
 
-// Timeline is a per-window replay of a single-run trace: one row per
-// execution window, in close order, tracking unit power state across the
-// run. Built by NewTimeline from a time-ordered event stream.
+// Timeline is a per-window replay of a trace: one row per execution
+// window, in close order, tracking unit power state across the trace.
+// Built by NewTimeline from a time-ordered event stream.
 type Timeline struct {
 	// Units lists the gated units observed, sorted; every row's Fracs
 	// aligns with it.
@@ -49,10 +49,10 @@ type Timeline struct {
 	Rows  []TimelineRow `json:"rows"`
 }
 
-// NewTimeline replays a time-ordered event stream (one run, as written
-// by a JSONL trace) into a per-window timeline. Events between two
-// window closes — the boundary machinery runs right after the close —
-// are attributed to the earlier window.
+// NewTimeline replays a time-ordered event stream, as written by a JSONL
+// trace, through the trace fold (see Fold): one row per window, the
+// boundary machinery that follows a window's close attributed to it, and
+// every run starting from full power.
 func NewTimeline(events []Event) *Timeline {
 	// Discover the gated units first so every row's Fracs has one slot
 	// per unit regardless of when the unit first switches.
@@ -67,66 +67,30 @@ func NewTimeline(events []Event) *Timeline {
 		units = append(units, u)
 	}
 	sort.Strings(units)
-	slot := make(map[string]int, len(units))
-	for i, u := range units {
-		slot[u] = i
-	}
 
 	tl := &Timeline{Units: units}
-	// All units boot at full power.
-	fracs := make([]float64, len(units))
-	for i := range fracs {
-		fracs[i] = 1
-	}
-	var cur *TimelineRow
-	flush := func() {
-		if cur == nil {
-			return
+	f := NewFold(units, func(r *WindowRow) {
+		row := TimelineRow{
+			Window:     r.Close.Window,
+			EndCycle:   r.Close.Cycle,
+			Sig:        r.Close.SigString(),
+			Insns:      r.Close.Count,
+			Lookup:     r.Lookup,
+			Policy:     "-",
+			CDEInvokes: r.CDEInvokes,
+			Gates:      r.Gates,
+			Stall:      r.Stall,
+			Fracs:      append([]float64(nil), r.Fracs...),
 		}
-		cur.Fracs = append([]float64(nil), fracs...)
-		tl.Rows = append(tl.Rows, *cur)
-		cur = nil
-	}
+		if r.HasPolicy {
+			row.Policy = Event{Policy: r.Policy}.PolicyString()
+		}
+		tl.Rows = append(tl.Rows, row)
+	})
 	for _, e := range events {
-		switch e.Kind {
-		case KindWindowClose:
-			flush()
-			cur = &TimelineRow{
-				Window:   e.Window,
-				EndCycle: e.Cycle,
-				Sig:      e.SigString(),
-				Insns:    e.Count,
-				Lookup:   "-",
-				Policy:   "-",
-			}
-		case KindPVTHit:
-			if cur != nil {
-				cur.Lookup = "hit"
-				cur.Policy = e.PolicyString()
-			}
-		case KindPVTMiss:
-			if cur != nil {
-				cur.Lookup = "miss"
-			}
-		case KindCDEInvoke:
-			if cur != nil {
-				cur.CDEInvokes++
-			}
-		case KindCDERegister:
-			if cur != nil {
-				cur.Policy = e.PolicyString()
-			}
-		case KindGate:
-			if i, ok := slot[e.Unit]; ok {
-				fracs[i] = e.Next
-			}
-			if cur != nil {
-				cur.Gates++
-				cur.Stall += e.Stall
-			}
-		}
+		f.Emit(e)
 	}
-	flush()
+	f.Flush()
 	return tl
 }
 

@@ -41,68 +41,33 @@ type IngestorConfig struct {
 	Units []string
 }
 
-// Ingestor adapts the obs event stream into Store samples. It replays
-// windows exactly like obs.Timeline: a window's row opens at its
-// window-close event, collects the boundary machinery that fires before
-// the next close (PVT lookup, CDE invocations, gating transitions,
-// criticality scores), and flushes when the next window closes or the
-// run ends. Window ordinals and cycles from consecutive runs are offset
-// so sequential runs through one ingestor concatenate into monotonic
-// series; concurrently interleaved runs are merged best-effort (the
-// store clamps out-of-order windows into the current bucket).
+// Ingestor adapts the obs event stream into Store samples: it is one
+// trace fold (obs.Fold) whose rows it commits to the store, one sample
+// per series per window. The store's window ordinal is the fold's own
+// row count and cycles of later runs are offset past earlier runs, so
+// sequential runs through one ingestor concatenate into monotonic
+// series; concurrently interleaved runs are merged best-effort.
 //
 // Ingestor implements obs.Tracer and is safe for concurrent use.
 type Ingestor struct {
 	store *Store
 
-	mu    sync.Mutex
-	units []string
-	slot  map[string]int
-	fracs []float64
-
-	// Current row, mirroring obs.Timeline's replay.
-	open     bool
-	window   uint64
-	endCycle float64
-	insns    uint64
-	cde      uint64
-	gates    uint64
-	stall    float64
-	lookup   int8 // -1 none, 0 miss, 1 hit
-	scores   []unitScore
-	row      []Sample // scratch for the per-window batch commit
-
-	prevEnd    float64 // previous window's close cycle (current run)
-	lastWindow uint64  // highest window ordinal seen (current run)
-	baseWindow uint64  // ordinal offset from completed prior runs
-	baseCycle  float64 // cycle offset from completed prior runs
-}
-
-type unitScore struct {
-	unit  string
-	score float64
+	mu   sync.Mutex
+	fold *obs.Fold
+	row  []Sample // scratch for the per-window batch commit
+	// fracNames and critNames cache per-unit series names so a commit
+	// builds no strings.
+	fracNames []string
+	critNames map[string]string
 }
 
 // NewIngestor builds an ingestor feeding the store.
 func NewIngestor(store *Store, cfg IngestorConfig) *Ingestor {
-	in := &Ingestor{store: store, slot: map[string]int{}, lookup: -1}
 	units := append([]string(nil), cfg.Units...)
 	sort.Strings(units)
-	for _, u := range units {
-		in.addUnit(u)
-	}
+	in := &Ingestor{store: store, critNames: map[string]string{}}
+	in.fold = obs.NewFold(units, in.commit)
 	return in
-}
-
-// addUnit registers a unit slot booted at full power. Caller holds mu
-// (or is the constructor).
-func (in *Ingestor) addUnit(u string) {
-	if _, ok := in.slot[u]; ok {
-		return
-	}
-	in.slot[u] = len(in.units)
-	in.units = append(in.units, u)
-	in.fracs = append(in.fracs, 1)
 }
 
 // Emit implements obs.Tracer.
@@ -111,95 +76,47 @@ func (in *Ingestor) Emit(e obs.Event) {
 		return
 	}
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	switch e.Kind {
-	case obs.KindWindowClose:
-		in.flush()
-		in.open = true
-		in.window = e.Window
-		in.endCycle = e.Cycle
-		in.insns = e.Count
-		in.cde, in.gates, in.stall = 0, 0, 0
-		in.lookup = -1
-		in.scores = in.scores[:0]
-	case obs.KindPVTHit:
-		if in.open {
-			in.lookup = 1
-		}
-	case obs.KindPVTMiss:
-		if in.open {
-			in.lookup = 0
-		}
-	case obs.KindCDEInvoke:
-		if in.open {
-			in.cde++
-		}
-	case obs.KindCDEScore:
-		if in.open && e.Unit != "" {
-			in.scores = append(in.scores, unitScore{unit: e.Unit, score: e.Value})
-		}
-	case obs.KindGate:
-		if e.Unit != "" {
-			in.addUnit(e.Unit)
-			in.fracs[in.slot[e.Unit]] = e.Next
-		}
-		if in.open {
-			in.gates++
-			in.stall += e.Stall
-		}
-	case obs.KindRunEnd:
-		in.flush()
-		// Offset the next run past this one so concatenated series stay
-		// monotonic, and reset per-run state to boot.
-		in.baseWindow += in.lastWindow
-		if e.Cycle > 0 {
-			in.baseCycle += e.Cycle
-		} else {
-			in.baseCycle += in.prevEnd
-		}
-		in.lastWindow = 0
-		in.prevEnd = 0
-		for i := range in.fracs {
-			in.fracs[i] = 1
-		}
-	}
+	in.fold.Emit(e)
+	in.mu.Unlock()
 }
 
-// flush commits the open row to the store as one atomic batch, so a
+// commit appends a closed row to the store as one atomic batch, so a
 // concurrent reader (the alert evaluator's boundary watermark in
 // particular) never observes a window with only part of its series
 // appended. Caller holds mu.
-func (in *Ingestor) flush() {
-	if !in.open {
-		return
-	}
-	in.open = false
-	w := in.baseWindow + in.window
-	c := in.baseCycle + in.endCycle
-	if in.window > in.lastWindow {
-		in.lastWindow = in.window
-	}
-
+func (in *Ingestor) commit(r *obs.WindowRow) {
+	w, c := r.Ordinal, r.BaseCycle+r.Close.Cycle
 	row := in.row[:0]
 	add := func(series string, v float64) {
 		row = append(row, Sample{Series: series, Window: w, Cycle: c, Value: v})
 	}
-	add(SeriesInsns, float64(in.insns))
-	if dt := in.endCycle - in.prevEnd; dt > 0 {
-		add(SeriesIPC, float64(in.insns)/dt)
+	insns := float64(r.Close.Count)
+	add(SeriesInsns, insns)
+	if dt := r.Close.Cycle - r.StartCycle; dt > 0 {
+		add(SeriesIPC, insns/dt)
 	}
-	in.prevEnd = in.endCycle
-	add(SeriesStall, in.stall)
-	add(SeriesGates, float64(in.gates))
-	add(SeriesCDE, float64(in.cde))
-	if in.lookup >= 0 {
-		add(SeriesPVTHit, float64(in.lookup))
+	add(SeriesStall, r.Stall)
+	add(SeriesGates, float64(r.Gates))
+	add(SeriesCDE, float64(r.CDEInvokes))
+	switch r.Lookup {
+	case "hit":
+		add(SeriesPVTHit, 1)
+	case "miss":
+		add(SeriesPVTHit, 0)
 	}
-	for i, u := range in.units {
-		add(SeriesUnitFracPrefix+u, in.fracs[i])
+	for _, u := range in.fold.Units()[len(in.fracNames):] {
+		in.fracNames = append(in.fracNames, SeriesUnitFracPrefix+u)
 	}
-	for _, sc := range in.scores {
-		add(SeriesCritPrefix+sc.unit, sc.score)
+	for i, f := range r.Fracs {
+		add(in.fracNames[i], f)
+	}
+	for _, sc := range r.Scores {
+		name, ok := in.critNames[sc.Unit]
+		if !ok {
+			name = SeriesCritPrefix + sc.Unit
+			in.critNames[sc.Unit] = name
+		}
+		add(name, sc.Score)
 	}
 	in.row = row
 	in.store.AppendBatch(row)
@@ -210,6 +127,6 @@ func (in *Ingestor) flush() {
 // that ends without a run-end event.
 func (in *Ingestor) Flush() {
 	in.mu.Lock()
-	in.flush()
+	in.fold.Flush()
 	in.mu.Unlock()
 }

@@ -196,6 +196,17 @@ func TestIngestorIgnoresSpans(t *testing.T) {
 	}
 }
 
+// TestIngestorWarmRunAllocatesNothing pins that ingest allocates
+// nothing per event once a store's series and the ingestor's scratch
+// exist: the serve monitor runs it on every request's event stream.
+func TestIngestorWarmRunAllocatesNothing(t *testing.T) {
+	in := NewIngestor(NewStore(testConfig()), IngestorConfig{Units: []string{"VPU", "BPU"}})
+	syntheticRun(in)
+	if n := testing.AllocsPerRun(20, func() { syntheticRun(in) }); n != 0 {
+		t.Errorf("a warm run's ingest allocates %v times", n)
+	}
+}
+
 type tracerFunc func(obs.Event)
 
 func (f tracerFunc) Emit(e obs.Event) { f(e) }

@@ -186,11 +186,11 @@ func keyOf(cfg *Config) batchKey {
 }
 
 // soloOnly reports whether a lane must take the solo Run path: observer
-// attachments (tracer, metrics, audit, telemetry) and the naive-walk
-// oracle are defined in terms of a single run's event stream and walker,
-// so they are never batched.
+// attachments (tracer, metrics, audit) and the naive-walk oracle are
+// defined in terms of a single run's event stream and walker, so they
+// are never batched.
 func soloOnly(cfg *Config) bool {
-	return cfg.Tracer != nil || cfg.Metrics || cfg.Audit || cfg.Telemetry != nil || cfg.naiveWalk
+	return cfg.Tracer != nil || cfg.Metrics || cfg.Audit || cfg.naiveWalk
 }
 
 // RunBatch executes one program under each configuration and returns the
@@ -201,7 +201,7 @@ func soloOnly(cfg *Config) bool {
 //
 // Every configuration needs its own Manager instance, exactly as with
 // separate Run calls — managers are stateful. Lanes that attach an
-// observer (Tracer, Metrics, Audit, Telemetry) fall back to a solo Run
+// observer (Tracer, Metrics, Audit) fall back to a solo Run
 // transparently, as does a batch of one.
 func RunBatch(p *program.Program, cfgs []Config) ([]*Result, error) {
 	local := make([]Config, len(cfgs))

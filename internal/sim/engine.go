@@ -8,7 +8,6 @@ import (
 	"powerchop/internal/isa"
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/audit"
-	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/phase"
 	"powerchop/internal/power"
 	"powerchop/internal/program"
@@ -187,11 +186,6 @@ func (s *engine) wireObservability() {
 		s.auditor = audit.MustNew(s.auditConfig())
 		sinks = append(sinks, s.auditor)
 	}
-	if s.cfg.Telemetry != nil {
-		sinks = append(sinks, tsdb.NewIngestor(s.cfg.Telemetry, tsdb.IngestorConfig{
-			Units: []string{arch.UnitBPU, arch.UnitMLC, arch.UnitVPU},
-		}))
-	}
 	t := obs.Multi(sinks...)
 	if t == nil {
 		return
@@ -207,23 +201,11 @@ func (s *engine) wireObservability() {
 	}
 }
 
-// auditConfig derives the decision-provenance auditor's parameters from
-// the design point: the gateable units' leakage budgets for attributed
-// savings, and the whole-core leakage (including PowerChop's own HTB/PVT
-// hardware) for costing the slowdown cycles decisions incur. When
+// auditConfig prices the auditor at the run's design point. When
 // metrics are on the audit histograms share the collector's registry so
 // one snapshot carries both.
 func (s *engine) auditConfig() audit.Config {
-	d := s.design
-	cfg := audit.Config{
-		ClockHz: d.ClockHz,
-		Units: []audit.UnitPower{
-			{Name: d.PowerVPU.Name, LeakageW: d.PowerVPU.LeakageW},
-			{Name: d.PowerBPU.Name, LeakageW: d.PowerBPU.LeakageW},
-			{Name: d.PowerMLC.Name, LeakageW: d.PowerMLC.LeakageW},
-		},
-		TotalLeakageW: d.TotalLeakageW() + power.HTBPowerW,
-	}
+	cfg := audit.DesignConfig(s.design)
 	if s.collector != nil {
 		cfg.Registry = s.collector.Registry()
 	}

@@ -156,7 +156,9 @@ func TestTelemetryMatchesPlain(t *testing.T) {
 		Manager:         core.MustPowerChop(core.DefaultConfig()),
 		Phase:           smallPhaseConfig(),
 		MaxTranslations: 3000,
-		Telemetry:       ts,
+		Tracer: tsdb.NewIngestor(ts, tsdb.IngestorConfig{
+			Units: []string{arch.UnitBPU, arch.UnitMLC, arch.UnitVPU},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,6 @@ import (
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/audit"
 	"powerchop/internal/obs/span"
-	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/phase"
 	"powerchop/internal/power"
 	"powerchop/internal/program"
@@ -77,13 +76,6 @@ type Config struct {
 	// bit-identical with or without it. When Metrics is also set the
 	// audit histograms register in the collector's registry.
 	Audit bool
-	// Telemetry, when non-nil, streams per-window series — instruction
-	// counts, IPC, stall cycles, gating activity, per-unit power
-	// fractions, PVT hit rate, criticality scores — into the given
-	// time-series store via a tsdb.Ingestor attached alongside the other
-	// sinks. A pure observer like Tracer/Metrics/Audit: results are
-	// bit-identical with or without it.
-	Telemetry *tsdb.Store
 	// Progress, when non-nil, is called at every window boundary and once
 	// at the end of the run. It is a pure observer: it sees the engine's
 	// counters but charges no cycles, so a run with a Progress callback is

@@ -58,11 +58,6 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 			"monitor concurrency is race-tested in internal/obs/serve")
 	}
 
-	var silent bytes.Buffer
-	if err := NewFigureRunner(0.02, WithJobs(4)).RenderAll(&silent); err != nil {
-		t.Fatal(err)
-	}
-
 	collector := obs.NewCollector()
 	mon := serve.NewMonitor(collector.Registry())
 	access := &lockedWriter{}
@@ -197,15 +192,7 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !bytes.Equal(silent.Bytes(), live.Bytes()) {
-		sl, ll := bytes.Split(silent.Bytes(), []byte("\n")), bytes.Split(live.Bytes(), []byte("\n"))
-		for i := 0; i < len(sl) && i < len(ll); i++ {
-			if !bytes.Equal(sl[i], ll[i]) {
-				t.Fatalf("outputs diverge at line %d:\n silent:    %s\n monitored: %s", i+1, sl[i], ll[i])
-			}
-		}
-		t.Fatalf("outputs differ in length: silent %d lines, monitored %d lines", len(sl), len(ll))
-	}
+	requirePlainFigures(t, "monitored", live.Bytes())
 
 	// The scrape surface must hold up after a real run: /metrics passes
 	// the Prometheus text-format conformance check over HTTP, and

@@ -3,8 +3,39 @@ package powerchop
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 )
+
+// plainFigures renders the full figure set at smoke scale once per test
+// process, serially and unobserved: the reference every figure-set
+// identity test compares its variant render against.
+var plainFigures = sync.OnceValues(func() ([]byte, error) {
+	var buf bytes.Buffer
+	err := NewFigureRunner(0.02, WithJobs(1)).RenderAll(&buf)
+	return buf.Bytes(), err
+})
+
+// requirePlainFigures fails the test unless got, a variant render of the
+// figure set, is byte-identical to the plain reference, naming the first
+// line where they diverge.
+func requirePlainFigures(t *testing.T, variant string, got []byte) {
+	t.Helper()
+	want, err := plainFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(want, got) {
+		return
+	}
+	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if !bytes.Equal(wl[i], gl[i]) {
+			t.Fatalf("outputs diverge at line %d:\n plain: %s\n %s: %s", i+1, wl[i], variant, gl[i])
+		}
+	}
+	t.Fatalf("outputs differ in length: plain %d lines, %s %d lines", len(wl), variant, len(gl))
+}
 
 // TestRenderAllParallelByteIdentical is the pipeline's determinism gate:
 // at smoke scale, an 8-job render of every figure must be byte-identical
@@ -17,22 +48,11 @@ func TestRenderAllParallelByteIdentical(t *testing.T) {
 		t.Skip("two full figure renders under the race detector are too slow; " +
 			"runner concurrency is race-tested in internal/experiments")
 	}
-	var serial, parallel bytes.Buffer
-	if err := NewFigureRunner(0.02, WithJobs(1)).RenderAll(&serial); err != nil {
-		t.Fatal(err)
-	}
+	var parallel bytes.Buffer
 	if err := NewFigureRunner(0.02, WithJobs(8)).RenderAll(&parallel); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		sl, pl := bytes.Split(serial.Bytes(), []byte("\n")), bytes.Split(parallel.Bytes(), []byte("\n"))
-		for i := 0; i < len(sl) && i < len(pl); i++ {
-			if !bytes.Equal(sl[i], pl[i]) {
-				t.Fatalf("outputs diverge at line %d:\n serial:   %s\n parallel: %s", i+1, sl[i], pl[i])
-			}
-		}
-		t.Fatalf("outputs differ in length: serial %d lines, parallel %d lines", len(sl), len(pl))
-	}
+	requirePlainFigures(t, "parallel", parallel.Bytes())
 }
 
 // TestCompareParallelMatchesSerial checks Options.Parallelism changes

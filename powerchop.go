@@ -122,9 +122,11 @@ type Options struct {
 	// Telemetry, when non-nil, streams the run's per-window series
 	// (instruction counts, IPC, stalls, per-unit power fractions, PVT hit
 	// rate, criticality scores) into the given time-series store; query
-	// it live over /api/query on a monitor or afterwards in process. A
-	// pure observer like Tracer: results are bit-identical with or
-	// without it.
+	// it live over /api/query on a monitor or afterwards in process. The
+	// runs of one RunBatch, Compare or Tune call that share a store pass
+	// through one telemetry ingestor in lane order, so their series
+	// concatenate. A pure observer like Tracer: results are bit-identical
+	// with or without it.
 	Telemetry *tsdb.Store
 	// Progress, when non-nil, receives the run's lifecycle: queued,
 	// simulating (then at every window boundary), and done or error. The
@@ -136,8 +138,8 @@ type Options struct {
 	// split into groups of at most ⌈lanes ÷ Parallelism⌉ (each
 	// simulation stays single-threaded and deterministic, so the Reports
 	// are identical to a serial run). It is ignored when a TraceWriter
-	// is set, where serial execution keeps the event streams from
-	// interleaving.
+	// or Telemetry is set, where serial execution keeps the event
+	// streams from interleaving.
 	Parallelism int
 	// Batch caps how many lanes one batched simulation group
 	// (sim.RunBatch) drives from a single trace walk: 0 selects the
@@ -153,9 +155,9 @@ type Options struct {
 	// files the result afterwards, so repeated identical runs are
 	// near-instant and byte-identical. Runs with an event-stream
 	// consumer attached (TraceWriter, Tracer, Metrics, Audit or
-	// Telemetry) bypass
-	// the cache — a cached result cannot replay the stream. Progress
-	// still works on a hit: the callback receives the final done report.
+	// Telemetry) bypass the cache — a cached result cannot replay the
+	// stream. Progress still works on a hit: the callback receives the
+	// final done report.
 	Cache *rescache.Cache
 	// CacheDir, when non-empty and Cache is nil, opens a cache rooted at
 	// that directory (created on first store) with a private metrics
@@ -542,22 +544,27 @@ func build(benchmark string) (workload.Benchmark, *program.Program, error) {
 
 // runOne runs one option set on a built program as a one-lane call.
 func runOne(ctx context.Context, p *program.Program, b workload.Benchmark, opts Options) (*Report, error) {
-	l, err := lane(p, b, opts)
+	f := folds{}
+	l, err := f.lane(p, b, opts)
 	if err != nil {
 		return nil, err
 	}
-	reps, err := submit(ctx, opts, []experiments.Lane{l})
+	reps, err := f.submit(ctx, opts, []experiments.Lane{l})
 	if err != nil {
 		return nil, err
 	}
 	return reps[0], nil
 }
 
+// folds holds one call's telemetry ingestors, one per store, so the
+// runs of a call that share a store pass through one trace fold.
+type folds map[*tsdb.Store]*tsdb.Ingestor
+
 // lane resolves one option set into a simulation request on a built
 // program: policy and design resolution (the policy fingerprint, which
 // validates the parameters, is the lane's manager key), run length and
-// observers.
-func lane(p *program.Program, b workload.Benchmark, opts Options) (experiments.Lane, error) {
+// observers, Telemetry among them as the store's ingestor.
+func (f folds) lane(p *program.Program, b workload.Benchmark, opts Options) (experiments.Lane, error) {
 	spec, params, err := resolvePolicy(opts)
 	if err != nil {
 		return experiments.Lane{}, err
@@ -576,18 +583,28 @@ func lane(p *program.Program, b workload.Benchmark, opts Options) (experiments.L
 	l.Program = p
 	l.RunLen = uint64(passes * float64(p.TotalScheduleTranslations()))
 	l.SampleInterval = opts.SampleInterval
-	l.TraceWriter, l.Tracer, l.Telemetry = opts.TraceWriter, opts.Tracer, opts.Telemetry
+	l.TraceWriter, l.Tracer = opts.TraceWriter, opts.Tracer
+	if ts := opts.Telemetry; ts != nil {
+		if f[ts] == nil {
+			f[ts] = tsdb.NewIngestor(ts, tsdb.IngestorConfig{Units: arch.GatedUnits()})
+		}
+		l.Tracer = obs.Multi(l.Tracer, f[ts])
+	}
 	l.Metrics, l.Audit = opts.Metrics, opts.Audit
 	return l, nil
 }
 
 // submit runs lanes on a per-call experiments.Runner set up from the
 // call's options: jobs = max(1, Parallelism), or one when any lane writes
-// a JSONL trace (so event streams sharing a writer never interleave); the
-// Batch cap; the Progress callback; and the persistent cache — Cache, or
-// one opened from CacheDir once for the whole call.
-func submit(ctx context.Context, opts Options, lanes []experiments.Lane) ([]*Report, error) {
+// a JSONL trace or feeds a telemetry store (so event streams sharing a
+// writer or a fold never interleave); the Batch cap; the Progress
+// callback; and the persistent cache — Cache, or one opened from
+// CacheDir once for the whole call.
+func (f folds) submit(ctx context.Context, opts Options, lanes []experiments.Lane) ([]*Report, error) {
 	jobs := max(1, opts.Parallelism)
+	if len(f) > 0 {
+		jobs = 1
+	}
 	for i := range lanes {
 		if lanes[i].TraceWriter != nil {
 			jobs = 1
@@ -637,13 +654,14 @@ func RunBatchContext(ctx context.Context, benchmark string, optsList []Options) 
 	if len(optsList) == 0 {
 		return []*Report{}, nil
 	}
+	f := folds{}
 	lanes := make([]experiments.Lane, len(optsList))
 	for i, o := range optsList {
-		if lanes[i], err = lane(p, b, o); err != nil {
+		if lanes[i], err = f.lane(p, b, o); err != nil {
 			return nil, fmt.Errorf("powerchop: batch lane %d: %w", i, err)
 		}
 	}
-	return submit(ctx, optsList[0], lanes)
+	return f.submit(ctx, optsList[0], lanes)
 }
 
 // reportOf flattens a simulator result into the public Report.
@@ -754,15 +772,16 @@ func Compare(benchmark string, opts Options) (*Comparison, error) {
 		return nil, err
 	}
 	managers := []string{ManagerFullPower, ManagerPowerChop, ManagerMinPower}
+	f := folds{}
 	lanes := make([]experiments.Lane, len(managers))
 	for i, m := range managers {
 		o := opts
 		o.Manager = m
-		if lanes[i], err = lane(p, b, o); err != nil {
+		if lanes[i], err = f.lane(p, b, o); err != nil {
 			return nil, err
 		}
 	}
-	reps, err := submit(context.Background(), opts, lanes)
+	reps, err := f.submit(context.Background(), opts, lanes)
 	if err != nil {
 		return nil, err
 	}
