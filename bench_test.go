@@ -573,7 +573,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	}
 	telemetry := func(cfg *sim.Config, tracer obs.Tracer) *tsdb.Store {
 		ts := tsdb.NewStore(tsdb.DefaultConfig())
-		cfg.Tracer = obs.Multi(tsdb.NewIngestor(ts, tsdb.IngestorConfig{Units: arch.GatedUnits()}), tracer)
+		cfg.Tracer = obs.Multi(ts.Ingestor(), tracer)
 		return ts
 	}
 	spans := func(cfg *sim.Config) *span.Span {
@@ -583,7 +583,10 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		return root
 	}
 	// Each case wires its observer into the run's config and returns
-	// what finishes it after the run, or nil.
+	// what finishes it after the run, or nil. fired holds the alerts the
+	// tsdb+alerts case's last run fired: the default ruleset must stay
+	// quiet on a healthy run, so fired/op should read 0.
+	var fired uint64
 	cases := []struct {
 		name   string
 		attach func(cfg *sim.Config) (finish func(*sim.Result))
@@ -624,7 +627,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			stop := ev.Start(time.Millisecond)
-			return func(*sim.Result) { stop() }
+			return func(*sim.Result) { stop(); fired = ev.FiredTotal() }
 		}},
 	}
 	for _, c := range cases {
@@ -648,6 +651,9 @@ func BenchmarkObserverOverhead(b *testing.B) {
 				insns = res.GuestInsns
 			}
 			b.ReportMetric(float64(insns), "insns/op")
+			if c.name == "tsdb+alerts" {
+				b.ReportMetric(float64(fired), "fired/op")
+			}
 		})
 	}
 }

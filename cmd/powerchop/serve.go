@@ -52,11 +52,10 @@ func newLiveMonitor() *liveMonitor {
 	auditor := audit.MustNew(cfg)
 	mon.SetDecisions(auditor)
 	store := tsdb.NewStore(tsdb.DefaultConfig())
-	ingest := tsdb.NewIngestor(store, tsdb.IngestorConfig{Units: arch.GatedUnits()})
 	mon.SetTelemetry(store)
 	return &liveMonitor{
 		mon:       mon,
-		tracer:    obs.Multi(collector, auditor, ingest, mon.Hub()),
+		tracer:    obs.Multi(collector, auditor, store.Ingestor(), mon.Hub()),
 		reg:       collector.Registry(),
 		telemetry: store,
 	}

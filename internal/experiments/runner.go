@@ -350,8 +350,8 @@ func (r *Runner) Sampled(ctx context.Context, b workload.Benchmark, kind Kind, s
 	return r.one(ctx, b, l)
 }
 
-// Telemetry runs the benchmark with a telemetry ingestor into the
-// time-series store attached as the lane's tracer (used by the
+// Telemetry runs the benchmark with the time-series store's ingestor
+// attached as the lane's tracer (used by the
 // power-trace figure). Like every observed lane it is never cached or
 // deduplicated, but still bounded by the runner's job slots, and like
 // Sampled it stays silent on progress. The runner's shared Tracer, if
@@ -359,7 +359,7 @@ func (r *Runner) Sampled(ctx context.Context, b workload.Benchmark, kind Kind, s
 // either way.
 func (r *Runner) Telemetry(ctx context.Context, b workload.Benchmark, kind Kind, ts *tsdb.Store) (*sim.Result, error) {
 	l := kindLane(kind)
-	l.Tracer = tsdb.NewIngestor(ts, tsdb.IngestorConfig{Units: arch.GatedUnits()})
+	l.Tracer = ts.Ingestor()
 	l.Silent = true
 	return r.one(ctx, b, l)
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"powerchop/internal/arch"
 	"powerchop/internal/obs"
 )
 
@@ -68,6 +69,17 @@ func NewIngestor(store *Store, cfg IngestorConfig) *Ingestor {
 	in := &Ingestor{store: store, critNames: map[string]string{}}
 	in.fold = obs.NewFold(units, in.commit)
 	return in
+}
+
+// Ingestor returns the store's own telemetry ingestor, built on first
+// use with the gated units pre-declared. Every run fed through it passes
+// through one trace fold, so sequential runs into one store concatenate
+// whichever call they come from.
+func (s *Store) Ingestor() *Ingestor {
+	s.ingestOnce.Do(func() {
+		s.ingest = NewIngestor(s, IngestorConfig{Units: arch.GatedUnits()})
+	})
+	return s.ingest
 }
 
 // Emit implements obs.Tracer.

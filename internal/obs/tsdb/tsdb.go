@@ -160,6 +160,9 @@ type Store struct {
 	mu     sync.RWMutex
 	series map[string]*series
 	latest uint64
+
+	ingestOnce sync.Once
+	ingest     *Ingestor // see Ingestor
 }
 
 // NewStore builds a store with the given level layout. It panics on an

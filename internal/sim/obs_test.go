@@ -156,9 +156,7 @@ func TestTelemetryMatchesPlain(t *testing.T) {
 		Manager:         core.MustPowerChop(core.DefaultConfig()),
 		Phase:           smallPhaseConfig(),
 		MaxTranslations: 3000,
-		Tracer: tsdb.NewIngestor(ts, tsdb.IngestorConfig{
-			Units: []string{arch.UnitBPU, arch.UnitMLC, arch.UnitVPU},
-		}),
+		Tracer:          ts.Ingestor(),
 	})
 	if err != nil {
 		t.Fatal(err)

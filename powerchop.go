@@ -122,11 +122,12 @@ type Options struct {
 	// Telemetry, when non-nil, streams the run's per-window series
 	// (instruction counts, IPC, stalls, per-unit power fractions, PVT hit
 	// rate, criticality scores) into the given time-series store; query
-	// it live over /api/query on a monitor or afterwards in process. The
-	// runs of one RunBatch, Compare or Tune call that share a store pass
-	// through one telemetry ingestor in lane order, so their series
-	// concatenate. A pure observer like Tracer: results are bit-identical
-	// with or without it.
+	// it live over /api/query on a monitor or afterwards in process.
+	// Every run into a store passes through the store's one trace fold
+	// (tsdb.Store.Ingestor), so runs fed to it one after another, within
+	// a call or across calls, concatenate; a RunBatch, Compare or Tune
+	// call that feeds a store runs its lanes in lane order. A pure
+	// observer like Tracer: results are bit-identical with or without it.
 	Telemetry *tsdb.Store
 	// Progress, when non-nil, receives the run's lifecycle: queued,
 	// simulating (then at every window boundary), and done or error. The
@@ -544,27 +545,22 @@ func build(benchmark string) (workload.Benchmark, *program.Program, error) {
 
 // runOne runs one option set on a built program as a one-lane call.
 func runOne(ctx context.Context, p *program.Program, b workload.Benchmark, opts Options) (*Report, error) {
-	f := folds{}
-	l, err := f.lane(p, b, opts)
+	l, err := lane(p, b, opts)
 	if err != nil {
 		return nil, err
 	}
-	reps, err := f.submit(ctx, opts, []experiments.Lane{l})
+	reps, err := submit(ctx, opts, []experiments.Lane{l})
 	if err != nil {
 		return nil, err
 	}
 	return reps[0], nil
 }
 
-// folds holds one call's telemetry ingestors, one per store, so the
-// runs of a call that share a store pass through one trace fold.
-type folds map[*tsdb.Store]*tsdb.Ingestor
-
 // lane resolves one option set into a simulation request on a built
 // program: policy and design resolution (the policy fingerprint, which
 // validates the parameters, is the lane's manager key), run length and
-// observers, Telemetry among them as the store's ingestor.
-func (f folds) lane(p *program.Program, b workload.Benchmark, opts Options) (experiments.Lane, error) {
+// observers, Telemetry among them as the store's own ingestor.
+func lane(p *program.Program, b workload.Benchmark, opts Options) (experiments.Lane, error) {
 	spec, params, err := resolvePolicy(opts)
 	if err != nil {
 		return experiments.Lane{}, err
@@ -584,25 +580,22 @@ func (f folds) lane(p *program.Program, b workload.Benchmark, opts Options) (exp
 	l.RunLen = uint64(passes * float64(p.TotalScheduleTranslations()))
 	l.SampleInterval = opts.SampleInterval
 	l.TraceWriter, l.Tracer = opts.TraceWriter, opts.Tracer
-	if ts := opts.Telemetry; ts != nil {
-		if f[ts] == nil {
-			f[ts] = tsdb.NewIngestor(ts, tsdb.IngestorConfig{Units: arch.GatedUnits()})
-		}
-		l.Tracer = obs.Multi(l.Tracer, f[ts])
+	if opts.Telemetry != nil {
+		l.Tracer = obs.Multi(l.Tracer, opts.Telemetry.Ingestor())
 	}
 	l.Metrics, l.Audit = opts.Metrics, opts.Audit
 	return l, nil
 }
 
 // submit runs lanes on a per-call experiments.Runner set up from the
-// call's options: jobs = max(1, Parallelism), or one when any lane writes
-// a JSONL trace or feeds a telemetry store (so event streams sharing a
-// writer or a fold never interleave); the Batch cap; the Progress
-// callback; and the persistent cache — Cache, or one opened from
-// CacheDir once for the whole call.
-func (f folds) submit(ctx context.Context, opts Options, lanes []experiments.Lane) ([]*Report, error) {
+// call's options: jobs = max(1, Parallelism), or one when the call feeds
+// a telemetry store or any lane writes a JSONL trace (so event streams
+// sharing a fold or a writer never interleave); the Batch cap; the
+// Progress callback; and the persistent cache — Cache, or one opened
+// from CacheDir once for the whole call.
+func submit(ctx context.Context, opts Options, lanes []experiments.Lane) ([]*Report, error) {
 	jobs := max(1, opts.Parallelism)
-	if len(f) > 0 {
+	if opts.Telemetry != nil {
 		jobs = 1
 	}
 	for i := range lanes {
@@ -654,14 +647,17 @@ func RunBatchContext(ctx context.Context, benchmark string, optsList []Options) 
 	if len(optsList) == 0 {
 		return []*Report{}, nil
 	}
-	f := folds{}
+	call := optsList[0]
 	lanes := make([]experiments.Lane, len(optsList))
 	for i, o := range optsList {
-		if lanes[i], err = f.lane(p, b, o); err != nil {
+		if lanes[i], err = lane(p, b, o); err != nil {
 			return nil, fmt.Errorf("powerchop: batch lane %d: %w", i, err)
 		}
+		if o.Telemetry != nil {
+			call.Parallelism = 1 // keep every lane's telemetry in lane order
+		}
 	}
-	return f.submit(ctx, optsList[0], lanes)
+	return submit(ctx, call, lanes)
 }
 
 // reportOf flattens a simulator result into the public Report.
@@ -772,16 +768,15 @@ func Compare(benchmark string, opts Options) (*Comparison, error) {
 		return nil, err
 	}
 	managers := []string{ManagerFullPower, ManagerPowerChop, ManagerMinPower}
-	f := folds{}
 	lanes := make([]experiments.Lane, len(managers))
 	for i, m := range managers {
 		o := opts
 		o.Manager = m
-		if lanes[i], err = f.lane(p, b, o); err != nil {
+		if lanes[i], err = lane(p, b, o); err != nil {
 			return nil, err
 		}
 	}
-	reps, err := f.submit(context.Background(), opts, lanes)
+	reps, err := submit(context.Background(), opts, lanes)
 	if err != nil {
 		return nil, err
 	}

@@ -193,3 +193,38 @@ func TestCompareAuditMergesRuns(t *testing.T) {
 		t.Errorf("saved %.6g J, solo runs sum to %.6g J", got.EnergySavedTotalJ, saved)
 	}
 }
+
+// TestRunTelemetryConcatenatesAcrossCalls checks separate Run calls on
+// one telemetry store pass through the store's one fold: the second
+// run's windows follow the first's instead of restarting at window 1
+// and piling into the first run's buckets.
+func TestRunTelemetryConcatenatesAcrossCalls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a benchmark twice; skipped with -short")
+	}
+	ts := tsdb.NewStore(tsdb.DefaultConfig())
+	var trace bytes.Buffer
+	for i := 0; i < 2; i++ {
+		if _, err := Run("gobmk", Options{Passes: 0.2, TraceWriter: &trace, Telemetry: ts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, err := obs.ReadJSONL(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := obs.NewTimeline(events).Rows
+	res, err := ts.Query(tsdb.Query{Series: tsdb.SeriesInsns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 || len(res.Points) != len(rows) || ts.LatestWindow() != uint64(len(rows)) {
+		t.Fatalf("%d raw points, latest window %d; the two runs' timeline has %d rows",
+			len(res.Points), ts.LatestWindow(), len(rows))
+	}
+	for i, p := range res.Points {
+		if p.Window != uint64(i+1) || p.Count != 1 || p.Value != float64(rows[i].Insns) {
+			t.Fatalf("point %d %+v, timeline row %+v", i, p, rows[i])
+		}
+	}
+}

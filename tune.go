@@ -270,7 +270,6 @@ func TuneContext(ctx context.Context, opts TuneOptions) (res *TuneResult, err er
 	base := opts.Options
 	base.Manager, base.Params, base.Thresholds, base.TimeoutCycles = "", nil, nil, 0
 	stride := len(grid) + 1
-	f := folds{}
 	lanes := make([]experiments.Lane, 0, stride*len(benchmarks))
 	for _, bench := range benchmarks {
 		b, p, err := build(bench)
@@ -283,14 +282,14 @@ func TuneContext(ctx context.Context, opts TuneOptions) (res *TuneResult, err er
 			if i >= 0 {
 				o.Manager, o.Params = spec.Name, grid[i]
 			}
-			l, err := f.lane(p, b, o)
+			l, err := lane(p, b, o)
 			if err != nil {
 				return nil, err
 			}
 			lanes = append(lanes, l)
 		}
 	}
-	reports, err := f.submit(ctx, base, lanes)
+	reports, err := submit(ctx, base, lanes)
 	if err != nil {
 		return nil, err
 	}
