@@ -2,10 +2,14 @@ package powerchop
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
+	"powerchop/internal/obs"
+	"powerchop/internal/obs/span"
 	"powerchop/internal/policy"
 	"powerchop/internal/rescache"
 )
@@ -304,5 +308,45 @@ func TestRunBatchLaneError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid lane accepted")
+	}
+}
+
+// TestHeadlineBatchesPerBenchmark pins Headline's run set to one batched
+// group per benchmark: a cold render on two jobs drives each benchmark's
+// full-power, PowerChop and min-power runs from one walk (29 three-lane
+// groups), and the power comparison reuses them, so no run simulates
+// alone. Spans are captured on a root context, because a tracer on the
+// runner would make every lane run alone.
+func TestHeadlineBatchesPerBenchmark(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipped with -short")
+	}
+	const capacity = 1 << 12
+	ring := obs.NewRing(capacity)
+	ctx, root := span.Root(context.Background(), ring, "test", "")
+	if _, err := NewFigureRunner(0.02, WithJobs(2)).HeadlineContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if ring.Total() > capacity {
+		t.Fatalf("span ring overflowed: %d events", ring.Total())
+	}
+	groups, solo := 0, 0
+	for _, e := range ring.Events() {
+		if e.Kind != obs.KindSpanBegin {
+			continue
+		}
+		switch e.Unit {
+		case "benchbatch":
+			if !strings.HasSuffix(e.Detail, " lanes=3") {
+				t.Errorf("group %q, want three lanes", e.Detail)
+			}
+			groups++
+		case "benchmark":
+			solo++
+		}
+	}
+	if groups != 29 || solo != 0 {
+		t.Errorf("cold headline ran %d batched groups and %d solo runs, want 29 and 0", groups, solo)
 	}
 }

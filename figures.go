@@ -34,10 +34,10 @@ type figureConfig struct {
 	cache    *rescache.Cache
 }
 
-// WithBatch caps how many cold lanes a batch-aware sweep (currently the
-// policy-zoo figure) hands to one batched simulation: 0 selects the
-// default cap, 1 disables batching. A pure wall-clock knob — figure
-// output is byte-identical at any setting.
+// WithBatch caps how many cold lanes of one benchmark a figure's run set
+// hands to one batched simulation: 0 selects the default cap, 1
+// disables batching. A pure wall-clock knob — figure output is
+// byte-identical at any setting.
 func WithBatch(n int) FigureOption {
 	return func(c *figureConfig) { c.batch = n }
 }
@@ -325,9 +325,10 @@ type SuiteAverages struct {
 	Benchmarks int
 }
 
-// Headline computes per-suite and overall averages. Its two underlying
-// sweeps share most simulations; with more than one job they run
-// concurrently and the Runner deduplicates the overlap.
+// Headline computes per-suite and overall averages. Figure 12 submits
+// every benchmark's full-power, PowerChop and min-power runs as one run
+// set; the power comparison then reuses its full-power and PowerChop
+// runs.
 func (f *FigureRunner) Headline() ([]SuiteAverages, error) {
 	return f.HeadlineContext(context.Background())
 }
@@ -336,42 +337,26 @@ func (f *FigureRunner) Headline() ([]SuiteAverages, error) {
 // sweeps run under "sweep" child spans of the span ctx carries, if any.
 func (f *FigureRunner) HeadlineContext(ctx context.Context) ([]SuiteAverages, error) {
 	var (
-		perf    *experiments.PerfResult
-		pwr     *experiments.PowerResult
-		perfErr error
-		pwrErr  error
+		perf *experiments.PerfResult
+		pwr  *experiments.PowerResult
 	)
-	sweep := func(name string, run func(context.Context) error) {
+	sweep := func(name string, run func(context.Context) error) error {
 		ctx, sp := span.Start(ctx, "sweep", "figure="+name)
-		sp.EndErr(run(ctx))
+		err := run(ctx)
+		sp.EndErr(err)
+		return err
 	}
-	runPerf := func() {
-		sweep("fig12", func(ctx context.Context) error {
-			perf, perfErr = experiments.Figure12(ctx, f.runner)
-			return perfErr
-		})
+	if err := sweep("fig12", func(ctx context.Context) (err error) {
+		perf, err = experiments.Figure12(ctx, f.runner)
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	runPwr := func() {
-		sweep("power", func(ctx context.Context) error {
-			pwr, pwrErr = experiments.PowerReductions(ctx, f.runner)
-			return pwrErr
-		})
-	}
-	if f.jobs > 1 {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); runPerf() }()
-		go func() { defer wg.Done(); runPwr() }()
-		wg.Wait()
-	} else {
-		runPerf()
-		runPwr()
-	}
-	if perfErr != nil {
-		return nil, perfErr
-	}
-	if pwrErr != nil {
-		return nil, pwrErr
+	if err := sweep("power", func(ctx context.Context) (err error) {
+		pwr, err = experiments.PowerReductions(ctx, f.runner)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	slows := map[string][]float64{}
 	for _, row := range perf.Rows {

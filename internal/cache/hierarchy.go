@@ -148,20 +148,20 @@ func (h *Hierarchy) ReplayAccess(addr uint64, l1Hit, l1WB bool, victim uint64) A
 	return r
 }
 
-// AdoptMLC replaces the hierarchy's MLC with a pre-warmed copy and sets
-// the main-memory traffic counters to the values accumulated while the
-// MLC was simulated elsewhere. Batched sweeps call it when a lane first
+// NewReplayHierarchy builds a hierarchy around a pre-warmed MLC, with the
+// main-memory traffic counters at the values accumulated while that MLC
+// was simulated elsewhere. Batched sweeps build one when a lane first
 // gates: until then the lane's MLC contents are those of the shared
-// never-gated reference, so the lane adopts a clone of that reference and
-// continues through ReplayAccess on its own copy. The adopted cache must
-// have the configured MLC geometry.
-func (h *Hierarchy) AdoptMLC(mlc *Cache, memReads, memWrites uint64) {
-	if mlc.Config() != h.cfg.MLC {
-		panic(fmt.Sprintf("cache: adopted MLC geometry %+v does not match configured %+v", mlc.Config(), h.cfg.MLC))
+// never-gated reference, so the lane forks a clone of that reference and
+// continues through ReplayAccess on its own copy. The lane's L1 outcomes
+// come from the shared front-end, so the hierarchy has no L1 of its own:
+// it serves ReplayAccess, GateMLC and MLC, never Access or L1. The cache
+// must have the configured MLC geometry.
+func NewReplayHierarchy(cfg HierarchyConfig, mlc *Cache, memReads, memWrites uint64) *Hierarchy {
+	if mlc.Config() != cfg.MLC {
+		panic(fmt.Sprintf("cache: adopted MLC geometry %+v does not match configured %+v", mlc.Config(), cfg.MLC))
 	}
-	h.mlc = mlc
-	h.memReads = memReads
-	h.memWrites = memWrites
+	return &Hierarchy{cfg: cfg, mlc: mlc, memReads: memReads, memWrites: memWrites}
 }
 
 // GateMLC applies a way-gating state to the MLC and returns the number of

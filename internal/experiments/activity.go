@@ -46,13 +46,15 @@ func (q *QualityResult) Render() string {
 // Figure8 measures phase-identification quality over every benchmark's
 // PowerChop run (Section V-B).
 func Figure8(ctx context.Context, r *Runner) (*QualityResult, error) {
+	bs := workload.All()
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	if err != nil {
+		return nil, err
+	}
 	out := &QualityResult{}
 	var means []float64
-	for _, b := range workload.All() {
-		res, err := r.Result(ctx, b, KindPowerChop)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		res := set[i][0]
 		out.Rows = append(out.Rows, QualityRow{
 			Benchmark: b.Name,
 			MeanFrac:  res.QualityMeanFrac,
@@ -98,12 +100,13 @@ func (a *ActivityResult) Render() string {
 }
 
 func activity(ctx context.Context, r *Runner, title string, bs []workload.Benchmark) (*ActivityResult, error) {
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	if err != nil {
+		return nil, err
+	}
 	out := &ActivityResult{Title: title}
-	for _, b := range bs {
-		res, err := r.Result(ctx, b, KindPowerChop)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		res := set[i][0]
 		out.Rows = append(out.Rows, ActivityRow{
 			Benchmark: b.Name,
 			VPUGated:  res.VPU.GatedFrac,
@@ -160,13 +163,15 @@ func (s *SwitchResult) Render() string {
 // Figure11 measures how often PowerChop's policies change unit power
 // states (Section V-C).
 func Figure11(ctx context.Context, r *Runner) (*SwitchResult, error) {
+	bs := workload.All()
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	if err != nil {
+		return nil, err
+	}
 	out := &SwitchResult{}
 	var v, p, m []float64
-	for _, b := range workload.All() {
-		res, err := r.Result(ctx, b, KindPowerChop)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		res := set[i][0]
 		out.Rows = append(out.Rows, SwitchRow{
 			Benchmark: b.Name,
 			VPU:       res.VPU.SwitchesPerM,

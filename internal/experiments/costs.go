@@ -119,14 +119,15 @@ type SoftwareCostRow struct {
 // SoftwareCosts measures the PVT-miss interrupt rate and CDE time across
 // the SPEC suites, as the paper reports.
 func SoftwareCosts(ctx context.Context, r *Runner) (*SoftwareCostsResult, error) {
+	bs := append(workload.BySuite(workload.SPECInt), workload.BySuite(workload.SPECFP)...)
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	if err != nil {
+		return nil, err
+	}
 	out := &SoftwareCostsResult{}
 	var misses, overheads []float64
-	bs := append(workload.BySuite(workload.SPECInt), workload.BySuite(workload.SPECFP)...)
-	for _, b := range bs {
-		res, err := r.Result(ctx, b, KindPowerChop)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		res := set[i][0]
 		translations := float64(res.BT.TranslatedExecs)
 		if translations == 0 {
 			translations = 1

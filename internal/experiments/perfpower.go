@@ -49,21 +49,15 @@ func (p *PerfResult) Render() string {
 // Figure12 compares full-power, PowerChop-managed and minimally-powered
 // configurations (Section V-D).
 func Figure12(ctx context.Context, r *Runner) (*PerfResult, error) {
+	bs := workload.All()
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower, KindPowerChop, KindMinPower))
+	if err != nil {
+		return nil, err
+	}
 	out := &PerfResult{}
 	var slows, losses []float64
-	for _, b := range workload.All() {
-		full, err := r.Result(ctx, b, KindFullPower)
-		if err != nil {
-			return nil, err
-		}
-		chop, err := r.Result(ctx, b, KindPowerChop)
-		if err != nil {
-			return nil, err
-		}
-		min, err := r.Result(ctx, b, KindMinPower)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		full, chop, min := set[i][0], set[i][1], set[i][2]
 		chopPerf := full.Cycles / chop.Cycles
 		minPerf := full.Cycles / min.Cycles
 		out.Rows = append(out.Rows, PerfRow{
@@ -142,16 +136,14 @@ func PowerReductions(ctx context.Context, r *Runner) (*PowerResult, error) {
 		AvgEnergy:  map[string]float64{},
 		AvgLeakage: map[string]float64{},
 	}
+	bs := workload.All()
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower, KindPowerChop))
+	if err != nil {
+		return nil, err
+	}
 	perSuite := map[string][]PowerRow{}
-	for _, b := range workload.All() {
-		full, err := r.Result(ctx, b, KindFullPower)
-		if err != nil {
-			return nil, err
-		}
-		chop, err := r.Result(ctx, b, KindPowerChop)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		full, chop := set[i][0], set[i][1]
 		row := PowerRow{
 			Benchmark:  b.Name,
 			Suite:      b.Suite,

@@ -73,24 +73,25 @@ func (z *ZooResult) Render() string {
 
 // PolicyZoo runs every zoo policy at default parameters across every
 // benchmark and compares each against the shared full-power baseline.
-// Each benchmark's baseline and policy lanes go through one ResultBatch
-// call, so cold renders drive all six configurations from a single
-// instruction walk; results, cache entries and singleflight keys are
-// identical to the per-run path.
+// Every benchmark's baseline and policy lanes go through one ResultSet
+// call, so a cold render drives each benchmark's six configurations from
+// a single instruction walk; results, cache entries and singleflight
+// keys are identical to the per-run path.
 func PolicyZoo(ctx context.Context, r *Runner) (*ZooResult, error) {
+	runs := kindRuns(KindFullPower)
+	for _, name := range ZooPolicies {
+		runs = append(runs, BatchRun{Policy: name})
+	}
+	bs := workload.All()
+	set, err := r.ResultSet(ctx, bs, runs)
+	if err != nil {
+		return nil, err
+	}
 	out := &ZooResult{Policies: ZooPolicies}
 	perPolicyEnergy := make([][]float64, len(ZooPolicies))
 	perPolicySlow := make([][]float64, len(ZooPolicies))
-	lanes := make([]BatchRun, 0, len(ZooPolicies)+1)
-	lanes = append(lanes, BatchRun{Kind: KindFullPower})
-	for _, name := range ZooPolicies {
-		lanes = append(lanes, BatchRun{Policy: name})
-	}
-	for _, b := range workload.All() {
-		results, err := r.ResultBatch(ctx, b, lanes)
-		if err != nil {
-			return nil, err
-		}
+	for j, b := range bs {
+		results := set[j]
 		full := results[0]
 		row := ZooRow{Benchmark: b.Name, Suite: b.Suite}
 		for i, name := range ZooPolicies {

@@ -364,7 +364,7 @@ func (r *Runner) Telemetry(ctx context.Context, b workload.Benchmark, kind Kind,
 	return r.one(ctx, b, l)
 }
 
-// BatchRun selects one lane of a ResultBatch call: a fixed experiment
+// BatchRun selects one run of a ResultSet call: a fixed experiment
 // Kind, or — when Policy is non-empty — a registered policy at a
 // parameter assignment, the same selections Result and PolicyResult
 // make individually.
@@ -374,13 +374,23 @@ type BatchRun struct {
 	Params policy.Params
 }
 
-// ResultBatch returns the runs of the benchmark under every requested
-// configuration, in input order, with Result's singleflight and
-// persistent-cache semantics per lane. Cold lanes share batched
+// kindRuns selects fixed experiment kinds for ResultSet.
+func kindRuns(kinds ...Kind) []BatchRun {
+	runs := make([]BatchRun, len(kinds))
+	for i, k := range kinds {
+		runs[i].Kind = k
+	}
+	return runs
+}
+
+// ResultSet returns the runs of every benchmark under every requested
+// configuration, indexed by benchmark and then by run, with Result's
+// singleflight and persistent-cache semantics per lane. The whole set is
+// one Run call, so its cold lanes on one benchmark share batched
 // simulations — one instruction walk driving every lane of a group
-// (internal/sim.RunBatch) — which is byte-identical to solo runs: the
-// batch only amortizes the shared front-end work.
-func (r *Runner) ResultBatch(ctx context.Context, b workload.Benchmark, runs []BatchRun) ([]*sim.Result, error) {
+// (internal/sim.RunBatch), byte-identical to solo runs — and its groups
+// fill every job slot. An unknown policy fails the call before any work.
+func (r *Runner) ResultSet(ctx context.Context, bs []workload.Benchmark, runs []BatchRun) ([][]*sim.Result, error) {
 	lanes := make([]Lane, len(runs))
 	for i, br := range runs {
 		if br.Policy == "" {
@@ -393,7 +403,7 @@ func (r *Runner) ResultBatch(ctx context.Context, b workload.Benchmark, runs []B
 		}
 		lanes[i] = l
 	}
-	return r.benchmark(ctx, b, lanes)
+	return r.runSet(ctx, bs, lanes)
 }
 
 // policyLane is PolicyLane for a policy named in the registry.
@@ -407,31 +417,52 @@ func policyLane(name string, params policy.Params) (Lane, error) {
 
 // one submits a single lane template on the benchmark.
 func (r *Runner) one(ctx context.Context, b workload.Benchmark, l Lane) (*sim.Result, error) {
-	res, err := r.benchmark(ctx, b, []Lane{l})
+	res, err := r.runSet(ctx, []workload.Benchmark{b}, []Lane{l})
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return res[0][0], nil
 }
 
-// benchmark completes lane templates with the benchmark's program, its
-// design point and the runner's run length, then runs them. A benchmark
-// that fails to build fails every lane, reported as such.
-func (r *Runner) benchmark(ctx context.Context, b workload.Benchmark, lanes []Lane) ([]*sim.Result, error) {
-	t, err := r.template(b)
-	if err != nil {
-		for i := range lanes {
-			if !lanes[i].Silent {
-				r.report(RunUpdate{Benchmark: b.Name, Kind: Kind(lanes[i].ManagerKey), State: RunError, Err: err})
+// runSet completes every lane template on every benchmark with the
+// benchmark's program, its design point and the runner's run length,
+// then runs all of them in one Run call. Programs build on up to Jobs()
+// workers. A benchmark that fails to build fails every lane on it,
+// reported as such, and the call returns before simulating anything.
+func (r *Runner) runSet(ctx context.Context, bs []workload.Benchmark, templates []Lane) ([][]*sim.Result, error) {
+	ts := make([]Lane, len(bs))
+	errs := make([]error, len(bs))
+	r.each(len(bs), func(i int) {
+		if ts[i], errs[i] = r.template(bs[i]); errs[i] == nil {
+			return
+		}
+		for _, l := range templates {
+			if !l.Silent {
+				r.report(RunUpdate{Benchmark: bs[i].Name, Kind: Kind(l.ManagerKey), State: RunError, Err: errs[i]})
 			}
 		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	lanes := make([]Lane, 0, len(bs)*len(templates))
+	for _, t := range ts {
+		for _, l := range templates {
+			l.Program, l.Design, l.RunLen, l.digest, l.design = t.Program, t.Design, t.RunLen, t.digest, t.design
+			lanes = append(lanes, l)
+		}
+	}
+	res, err := r.Run(ctx, lanes)
+	if err != nil {
 		return nil, err
 	}
-	for i := range lanes {
-		l := &lanes[i]
-		l.Program, l.Design, l.RunLen, l.digest, l.design = t.Program, t.Design, t.RunLen, t.digest, t.design
+	out := make([][]*sim.Result, len(bs))
+	for i := range out {
+		out[i] = res[i*len(templates) : (i+1)*len(templates)]
 	}
-	return r.Run(ctx, lanes)
+	return out, nil
 }
 
 // template returns the benchmark's memoized lane template: its built
@@ -462,7 +493,8 @@ func (r *Runner) template(b workload.Benchmark) (Lane, error) {
 //  1. a flight: a lane whose key is already in flight (or done) awaits
 //     that flight instead of simulating;
 //  2. a persistent-cache lookup, or a counted bypass for lanes that
-//     cannot be cached;
+//     cannot be cached; a call that owns several lanes looks them up on
+//     up to jobs goroutines, and a hit takes no job slot;
 //  3. a job slot, held by one simulation group at a time;
 //  4. cold lanes are chunked, per program and in submission order, into
 //     sim.RunBatch groups of min(batch cap, ⌈cold lanes ÷ jobs⌉) lanes,
@@ -528,49 +560,42 @@ func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
 			r.report(RunUpdate{Benchmark: lanes[i].Program.Name, Kind: Kind(lanes[i].ManagerKey), State: RunQueued})
 		}
 	}
-	cold := make([]int, 0, len(owned))
-	for _, i := range owned {
-		if r.Cache != nil {
+	hit := make([]bool, len(owned))
+	if r.Cache != nil {
+		r.each(len(owned), func(k int) {
+			i := owned[k]
 			if r.alone(&lanes[i]) {
 				r.Cache.CountBypass()
-			} else if hit, ok := r.Cache.Get(keys[i]); ok {
-				settle(i, hit, nil)
-				continue
+			} else if res, ok := r.Cache.Get(keys[i]); ok {
+				settle(i, res, nil)
+				hit[k] = true
 			}
+		})
+	}
+	cold := make([]int, 0, len(owned))
+	for k, i := range owned {
+		if !hit[k] {
+			cold = append(cold, i)
 		}
-		cold = append(cold, i)
 	}
 
 	groups := r.groups(lanes, cold)
-	var next atomic.Int64
-	work := func() {
-		for g := next.Add(1) - 1; g < int64(len(groups)); g = next.Add(1) - 1 {
-			group := groups[g]
-			res, err := r.simulateGroup(ctx, lanes, group)
-			for j, i := range group {
-				if err != nil {
-					settle(i, nil, err)
-					continue
-				}
-				if r.Cache != nil && !r.alone(&lanes[i]) {
-					// Best-effort: a failed store is counted by the cache
-					// and must not fail a run that produced a good result.
-					_ = r.Cache.Put(keys[i], res[j])
-				}
-				settle(i, res[j], nil)
+	r.each(len(groups), func(g int) {
+		group := groups[g]
+		res, err := r.simulateGroup(ctx, lanes, group)
+		for j, i := range group {
+			if err != nil {
+				settle(i, nil, err)
+				continue
 			}
+			if r.Cache != nil && !r.alone(&lanes[i]) {
+				// Best-effort: a failed store is counted by the cache
+				// and must not fail a run that produced a good result.
+				_ = r.Cache.Put(keys[i], res[j])
+			}
+			settle(i, res[j], nil)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(r.Jobs(), len(groups)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	})
 
 	out := make([]*sim.Result, len(lanes))
 	for i, f := range flights {
@@ -581,6 +606,28 @@ func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
 		out[i] = f.res
 	}
 	return out, nil
+}
+
+// each calls f for every index below n on up to Jobs() goroutines, the
+// caller's among them, and returns when every call has: a call over one
+// index starts no goroutine.
+func (r *Runner) each(n int, f func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+			f(int(i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(r.Jobs(), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // groups chunks the cold lanes, per program and in submission order,

@@ -3,13 +3,18 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"powerchop/internal/obs"
+	"powerchop/internal/obs/span"
+	"powerchop/internal/rescache"
+	"powerchop/internal/sim"
 	"powerchop/internal/workload"
 )
 
 // TestResultBatchMatchesResult pins the runner's batched path to the
-// solo path: every lane of a ResultBatch — kinds, policies, and a
+// solo path: every lane of a ResultSet — kinds, policies, and a
 // duplicate lane sharing a flight — must be byte-identical to the
 // corresponding Result/PolicyResult from an independent runner, and the
 // duplicate must not cost an extra simulation.
@@ -30,10 +35,11 @@ func TestResultBatchMatchesResult(t *testing.T) {
 	}
 
 	batchRunner := NewRunner(0.05)
-	results, err := batchRunner.ResultBatch(ctx, b, lanes)
+	set, err := batchRunner.ResultSet(ctx, []workload.Benchmark{b}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := set[0]
 	if len(results) != len(lanes) {
 		t.Fatalf("got %d results for %d lanes", len(results), len(lanes))
 	}
@@ -72,10 +78,11 @@ func TestResultBatchMatchesResult(t *testing.T) {
 
 	// A second batch is served entirely by singleflight memory: no new
 	// simulations.
-	again, err := batchRunner.ResultBatch(ctx, b, lanes)
+	againSet, err := batchRunner.ResultSet(ctx, []workload.Benchmark{b}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	again := againSet[0]
 	if n := batchRunner.Simulations(); n != 3 {
 		t.Errorf("warm batch re-simulated: %d simulations", n)
 	}
@@ -86,7 +93,7 @@ func TestResultBatchMatchesResult(t *testing.T) {
 	}
 
 	// An unknown policy fails the whole call before any work.
-	if _, err := batchRunner.ResultBatch(ctx, b, []BatchRun{{Policy: "no-such"}}); err == nil {
+	if _, err := batchRunner.ResultSet(ctx, []workload.Benchmark{b}, []BatchRun{{Policy: "no-such"}}); err == nil {
 		t.Error("unknown policy lane accepted")
 	}
 }
@@ -108,14 +115,15 @@ func TestResultBatchSolo(t *testing.T) {
 	soloed := NewRunner(0.05)
 	soloed.Batch = 1
 
-	br, err := batched.ResultBatch(ctx, b, lanes)
+	bset, err := batched.ResultSet(ctx, []workload.Benchmark{b}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := soloed.ResultBatch(ctx, b, lanes)
+	sset, err := soloed.ResultSet(ctx, []workload.Benchmark{b}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	br, sr := bset[0], sset[0]
 	for i := range lanes {
 		want, err := json.Marshal(br[i])
 		if err != nil {
@@ -127,6 +135,95 @@ func TestResultBatchSolo(t *testing.T) {
 		}
 		if string(want) != string(got) {
 			t.Errorf("lane %d: Batch=1 result differs from batched", i)
+		}
+	}
+}
+
+// TestPolicyZooBatchesPerBenchmark pins the zoo's run set to one batched
+// group per benchmark: on a two-job runner its 29 × 6 cold lanes form 29
+// six-lane groups, not 58 three-lane ones. Spans are captured on a root
+// context, because a runner Tracer would make every lane run alone.
+func TestPolicyZooBatchesPerBenchmark(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are slow; skipped with -short")
+	}
+	const capacity = 1 << 12
+	ring := obs.NewRing(capacity)
+	ctx, root := span.Root(context.Background(), ring, "test", "")
+	if _, err := PolicyZoo(ctx, NewParallelRunner(0.02, 2)); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if ring.Total() > capacity {
+		t.Fatalf("span ring overflowed: %d events", ring.Total())
+	}
+	groups, solo := 0, 0
+	for _, e := range ring.Events() {
+		if e.Kind != obs.KindSpanBegin {
+			continue
+		}
+		switch e.Unit {
+		case "benchbatch":
+			if !strings.HasSuffix(e.Detail, " lanes=6") {
+				t.Errorf("group %q, want six lanes", e.Detail)
+			}
+			groups++
+		case "benchmark":
+			solo++
+		}
+	}
+	if want := len(workload.All()); groups != want || solo != 0 {
+		t.Errorf("zoo ran %d batched groups and %d solo runs, want %d and 0", groups, solo, want)
+	}
+}
+
+// TestResultSetWarmCache drives a run set's parallel cache lookups: a
+// fresh two-job runner over a cache that a cold call filled must serve
+// every lane from it, simulate nothing, and return the cold results.
+func TestResultSetWarmCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are slow; skipped with -short")
+	}
+	var bs []workload.Benchmark
+	for _, name := range []string{"gobmk", "namd", "libquantum"} {
+		b, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs = append(bs, b)
+	}
+	runs := kindRuns(KindFullPower, KindPowerChop)
+	dir := t.TempDir()
+	render := func() ([][]*sim.Result, *Runner, *rescache.Cache) {
+		r := NewParallelRunner(0.02, 2)
+		r.Cache = rescache.New(dir, nil)
+		set, err := r.ResultSet(context.Background(), bs, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set, r, r.Cache
+	}
+	cold, _, _ := render()
+	warm, r, c := render()
+	if n := r.Simulations(); n != 0 {
+		t.Errorf("warm run set simulated %d lanes", n)
+	}
+	if s := c.Stats(); s.Hits != uint64(len(bs)*len(runs)) {
+		t.Errorf("warm run set: %+v, want %d hits", s, len(bs)*len(runs))
+	}
+	for i := range bs {
+		for j := range runs {
+			want, err := json.Marshal(cold[i][j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(warm[i][j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(want) != string(got) {
+				t.Errorf("%s lane %d: warm result differs from cold", bs[i].Name, j)
+			}
 		}
 	}
 }

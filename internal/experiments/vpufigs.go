@@ -47,12 +47,14 @@ func (s *ShardResult) Render() string {
 // Figure15 measures how vector operations distribute across execution
 // shards (Section V-E's motivation for criticality over idleness).
 func Figure15(ctx context.Context, r *Runner) (*ShardResult, error) {
+	bs := workload.All()
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower))
+	if err != nil {
+		return nil, err
+	}
 	out := &ShardResult{}
-	for _, b := range workload.All() {
-		res, err := r.Result(ctx, b, KindFullPower)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		res := set[i][0]
 		total := float64(res.Shards.Total())
 		if total == 0 {
 			total = 1
@@ -107,16 +109,14 @@ func (t *TimeoutResult) Render() string {
 // timeout baseline (Section V-E). PowerChop manages only the VPU here so
 // the comparison isolates that unit, as the paper's study does.
 func Figure16(ctx context.Context, r *Runner) (*TimeoutResult, error) {
+	bs := workload.All()
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindChopVPU, KindTimeout))
+	if err != nil {
+		return nil, err
+	}
 	out := &TimeoutResult{}
-	for _, b := range workload.All() {
-		chop, err := r.Result(ctx, b, KindChopVPU)
-		if err != nil {
-			return nil, err
-		}
-		timeout, err := r.Result(ctx, b, KindTimeout)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range bs {
+		chop, timeout := set[i][0], set[i][1]
 		row := TimeoutRow{
 			Benchmark: b.Name,
 			PowerChop: chop.VPU.GatedFrac,
@@ -167,29 +167,21 @@ func (p *PerUnitResult) Render() string {
 
 // PerUnit runs the per-unit isolation study for the given benchmarks.
 func PerUnit(ctx context.Context, r *Runner, bs []workload.Benchmark) (*PerUnitResult, error) {
-	out := &PerUnitResult{}
-	kinds := []struct {
-		kind Kind
-		unit string
-	}{
-		{KindChopVPU, "VPU"},
-		{KindChopBPU, "BPU"},
-		{KindChopMLC, "MLC"},
+	// The full-power baseline, then one PowerChop kind per unit.
+	units := []string{"VPU", "BPU", "MLC"}
+	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower, KindChopVPU, KindChopBPU, KindChopMLC))
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range bs {
-		full, err := r.Result(ctx, b, KindFullPower)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range kinds {
-			res, err := r.Result(ctx, b, k.kind)
-			if err != nil {
-				return nil, err
-			}
+	out := &PerUnitResult{}
+	for i, b := range bs {
+		full := set[i][0]
+		for j, unit := range units {
+			res := set[i][j+1]
 			out.Rows = append(out.Rows, PerUnitRow{
 				Benchmark: b.Name,
-				Unit:      k.unit,
-				Gated:     perUnitGated(res, k.unit),
+				Unit:      unit,
+				Gated:     perUnitGated(res, unit),
 				Slowdown:  res.Cycles/full.Cycles - 1,
 			})
 		}

@@ -80,7 +80,9 @@ func (b Bucket) Mean() float64 {
 type level struct {
 	spec LevelSpec
 	// ring holds the buckets oldest-first once unwrapped; head indexes
-	// the oldest occupied slot and n counts occupied slots.
+	// the oldest occupied slot and n counts occupied slots. The ring
+	// grows on demand up to spec.Retain buckets, so a short series costs
+	// only the buckets it holds; head stays 0 until it is full.
 	ring []Bucket
 	head int
 	n    int
@@ -94,8 +96,8 @@ func (l *level) last() *Bucket {
 }
 
 func (l *level) push(b Bucket) {
-	if l.n < len(l.ring) {
-		l.ring[(l.head+l.n)%len(l.ring)] = b
+	if l.n < l.spec.Retain {
+		l.ring = append(l.ring, b)
 		l.n++
 		return
 	}
@@ -229,7 +231,7 @@ func (s *Store) appendLocked(name string, window uint64, cycle, v float64) {
 	if sr == nil {
 		sr = &series{name: name, levels: make([]*level, len(s.cfg.Levels))}
 		for i, spec := range s.cfg.Levels {
-			sr.levels[i] = &level{spec: spec, ring: make([]Bucket, spec.Retain)}
+			sr.levels[i] = &level{spec: spec}
 		}
 		s.series[name] = sr
 	}

@@ -289,9 +289,9 @@ func runGroup(p *program.Program, key batchKey, compiled []program.CompiledRegio
 		}
 		// The lane starts pristine: its MLC contents and large-predictor
 		// state are the shared references' until its first gating
-		// transition (set before the boot directive, so a boot-time gate
-		// diverges from the empty references, exactly the solo starting
-		// state).
+		// transition, which builds the lane's own MLC (set before the
+		// boot directive, so a boot-time gate diverges from the empty
+		// references, exactly the solo starting state).
 		s.mlc.sharedMLC = fe.mlc
 		s.bpu.pristineLarge = true
 		boot := cfgs[i].Manager.Boot()

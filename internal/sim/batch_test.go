@@ -44,31 +44,33 @@ func requireIdentical(t *testing.T, label string, batched, solo *Result) {
 }
 
 // TestRunBatchMatchesSolo drives a mixed-manager batch — different gating
-// behaviour, different run budgets, sampling on — and pins every lane to
-// its solo Run.
+// behaviour, different run budgets, sampling on, translation quality
+// tracked on the PowerChop lane — and pins every lane to its solo Run.
 func TestRunBatchMatchesSolo(t *testing.T) {
 	p := vectorPhasedProgram(t)
 	mks := batchManagers(t)
-	mkCfg := func(mk func() core.Manager, translations uint64) Config {
+	mkCfg := func(mk func() core.Manager, translations uint64, quality bool) Config {
 		return Config{
 			Design:          arch.Server(),
 			Manager:         mk(),
 			Phase:           smallPhaseConfig(),
 			MaxTranslations: translations,
 			SampleInterval:  2000,
+			TrackQuality:    quality,
 		}
 	}
 	var cfgs []Config
 	budgets := []uint64{4000, 4000, 2500, 4000}
+	quality := []bool{true, false, false, false}
 	for i, mk := range mks {
-		cfgs = append(cfgs, mkCfg(mk, budgets[i]))
+		cfgs = append(cfgs, mkCfg(mk, budgets[i], quality[i]))
 	}
 	batched, err := RunBatch(p, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, mk := range mks {
-		solo := MustRun(vectorPhasedProgram(t), mkCfg(mk, budgets[i]))
+		solo := MustRun(vectorPhasedProgram(t), mkCfg(mk, budgets[i], quality[i]))
 		requireIdentical(t, fmt.Sprintf("lane %d (%s)", i, solo.Manager), batched[i], solo)
 	}
 }

@@ -440,10 +440,11 @@ type mlcUnit struct {
 	// has never gated its MLC, so its contents equal the batch group's
 	// never-gated reference: memory ops consume the recorded reference
 	// outcomes without touching any cache arrays, with the lane's memory
-	// traffic tracked in prReads/prWrites. The first gating transition
-	// clones the reference into the lane's hierarchy and clears
-	// sharedMLC (see diverge). Cached latencies keep the pristine hot
-	// path free of config-struct copies.
+	// traffic tracked in prReads/prWrites, and the lane has no hierarchy
+	// of its own. The first gating transition builds the lane's
+	// hierarchy around a clone of the reference and clears sharedMLC
+	// (see diverge). Cached latencies keep the pristine hot path free of
+	// config-struct copies.
 	sharedMLC *cache.Cache
 	prReads   uint64
 	prWrites  uint64
@@ -457,15 +458,31 @@ type fracCount struct {
 	n    uint64
 }
 
+// newMLCUnit builds the unit. A solo run owns its hierarchy from the
+// start; a batched lane (nil walker) starts pristine on the group's
+// reference MLC, which runGroup attaches, and builds a hierarchy only
+// when it diverges.
 func newMLCUnit(e *engine) *mlcUnit {
-	return &mlcUnit{
+	m := &mlcUnit{
 		e:         e,
-		hier:      cache.NewHierarchy(e.design.Mem),
 		g:         gating.NewUnit(arch.UnitMLC, 1),
 		accByFrac: make([]fracCount, 0, 4),
 		mlcLat:    e.design.Mem.MLCLatency,
 		memLat:    e.design.Mem.MemLatency,
 	}
+	if e.walker != nil {
+		m.hier = cache.NewHierarchy(e.design.Mem)
+	}
+	return m
+}
+
+// activeWays is the MLC's powered way count. A pristine lane has never
+// gated, so all of its ways are on.
+func (m *mlcUnit) activeWays() int {
+	if m.sharedMLC != nil {
+		return m.e.design.Mem.MLC.Ways
+	}
+	return m.hier.MLC().ActiveWays()
 }
 
 // addAccess records one MLC access at the given power fraction.
@@ -484,7 +501,7 @@ func (m *mlcUnit) gate() *gating.Unit { return m.g }
 func (m *mlcUnit) enact(policy pvt.Policy) {
 	totalWays := m.e.design.Mem.MLC.Ways
 	wantWays := policy.MLC.Ways(totalWays)
-	if wantWays == m.hier.MLC().ActiveWays() {
+	if wantWays == m.activeWays() {
 		return
 	}
 	m.diverge()
@@ -497,7 +514,7 @@ func (m *mlcUnit) enact(policy pvt.Policy) {
 func (m *mlcUnit) absorbDirective(core.Directive) {}
 
 func (m *mlcUnit) fillPolicy(p *pvt.Policy) {
-	switch w := m.hier.MLC().ActiveWays(); {
+	switch w := m.activeWays(); {
 	case w == m.e.design.Mem.MLC.Ways:
 		p.MLC = pvt.MLCAll
 	case w == 1:
@@ -509,7 +526,7 @@ func (m *mlcUnit) fillPolicy(p *pvt.Policy) {
 
 func (m *mlcUnit) windowProfile(prof *cde.WindowProfile) {
 	prof.L2Hits = m.winL2Hits
-	prof.MLCFullyOn = m.hier.MLC().ActiveWays() == m.e.design.Mem.MLC.Ways
+	prof.MLCFullyOn = m.activeWays() == m.e.design.Mem.MLC.Ways
 	m.winL2Hits = 0
 }
 
@@ -625,7 +642,7 @@ func (m *mlcUnit) diverge() {
 	if m.sharedMLC == nil {
 		return
 	}
-	m.hier.AdoptMLC(m.sharedMLC.Clone(), m.prReads, m.prWrites)
+	m.hier = cache.NewReplayHierarchy(m.e.design.Mem, m.sharedMLC.Clone(), m.prReads, m.prWrites)
 	m.sharedMLC = nil
 }
 
