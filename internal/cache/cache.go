@@ -187,8 +187,8 @@ func (c *Cache) Stats() Stats {
 }
 
 // Clone returns a deep copy of the cache: contents, recency state, gating
-// state and event counters. Batched sweeps fork a lane-private MLC from
-// the shared never-gated reference the moment the lane first gates.
+// state and event counters. Batched sweeps clone a shared MLC when one of
+// the lanes sharing it gates its ways.
 func (c *Cache) Clone() *Cache {
 	d := *c
 	d.lines = append([]uint64(nil), c.lines...)

@@ -109,61 +109,6 @@ func (h *Hierarchy) Access(addr uint64, write bool) AccessResult {
 	return r
 }
 
-// ReplayAccess performs one memory operation whose L1 outcome was resolved
-// elsewhere. The L1 is a write-back cache in front of the gateable MLC, so
-// its hit/writeback/victim sequence for a given address stream is the same
-// whatever the MLC's gating state; a batched sweep resolves that sequence
-// once on a shared L1 and replays it into each lane's hierarchy here. Only
-// the MLC (whose contents diverge under way gating) and the memory-traffic
-// counters are touched, in exactly the order Access would touch them, so a
-// replayed hierarchy is byte-identical to one driven through Access.
-func (h *Hierarchy) ReplayAccess(addr uint64, l1Hit, l1WB bool, victim uint64) AccessResult {
-	var r AccessResult
-	r.L1Hit = l1Hit
-	if l1WB {
-		r.Writebacks++
-		if _, wb2, _ := h.mlc.Access(victim, true); wb2 {
-			r.Writebacks++
-			h.memWrites++
-		}
-		r.MLCAccessed = true
-	}
-	if l1Hit {
-		return r
-	}
-	mlcHit, mlcWB, _ := h.mlc.Access(addr, false)
-	r.MLCAccessed = true
-	r.MLCHit = mlcHit
-	if mlcWB {
-		r.Writebacks++
-		h.memWrites++
-	}
-	if mlcHit {
-		r.StallCycles = h.cfg.MLCLatency
-		return r
-	}
-	r.MemAccessed = true
-	h.memReads++
-	r.StallCycles = h.cfg.MemLatency
-	return r
-}
-
-// NewReplayHierarchy builds a hierarchy around a pre-warmed MLC, with the
-// main-memory traffic counters at the values accumulated while that MLC
-// was simulated elsewhere. Batched sweeps build one when a lane first
-// gates: until then the lane's MLC contents are those of the shared
-// never-gated reference, so the lane forks a clone of that reference and
-// continues through ReplayAccess on its own copy. The lane's L1 outcomes
-// come from the shared front-end, so the hierarchy has no L1 of its own:
-// it serves ReplayAccess, GateMLC and MLC, never Access or L1. The cache
-// must have the configured MLC geometry.
-func NewReplayHierarchy(cfg HierarchyConfig, mlc *Cache, memReads, memWrites uint64) *Hierarchy {
-	if mlc.Config() != cfg.MLC {
-		panic(fmt.Sprintf("cache: adopted MLC geometry %+v does not match configured %+v", mlc.Config(), cfg.MLC))
-	}
-	return &Hierarchy{cfg: cfg, mlc: mlc, memReads: memReads, memWrites: memWrites}
-}
-
 // GateMLC applies a way-gating state to the MLC and returns the number of
 // dirty lines flushed (to be charged by the caller as writeback time and
 // energy) — the "WB dirty lines, lose clean lines, rewarm" cost of Table I.

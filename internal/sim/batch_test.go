@@ -8,6 +8,8 @@ import (
 	"powerchop/internal/arch"
 	"powerchop/internal/core"
 	"powerchop/internal/obs"
+	"powerchop/internal/program"
+	"powerchop/internal/pvt"
 )
 
 // batchManagers is the manager mix exercised by the batch identity tests:
@@ -250,5 +252,161 @@ func TestRunBatchProgress(t *testing.T) {
 		if got[i].Translations < got[i-1].Translations {
 			t.Fatalf("translations regressed at %d: %+v -> %+v", i, got[i-1], got[i])
 		}
+	}
+}
+
+// scripted is a test manager that enacts script[i] from window i on, the
+// last entry holding for the rest of the run.
+type scripted struct {
+	script []pvt.Policy
+	n      int
+}
+
+func (m *scripted) Name() string { return "scripted" }
+
+func (m *scripted) Boot() core.Directive { return core.Directive{Policy: m.script[0]} }
+
+func (m *scripted) WindowEnd(core.WindowReport) core.Directive {
+	m.n++
+	return core.Directive{Policy: m.script[min(m.n, len(m.script)-1)]}
+}
+
+// TestRunBatchNodes pins the front-end's node lifecycle through its node
+// counters: which lanes share an MLC or large-predictor node, when a node
+// is gated in place or cloned, and when one stops being driven. Every
+// lane must still equal its solo run.
+func TestRunBatchNodes(t *testing.T) {
+	const n = 3000
+	full, half, one := pvt.FullOn, pvt.FullOn, pvt.FullOn
+	half.MLC, one.MLC = pvt.MLCHalf, pvt.MLCOne
+	bpuOff := pvt.FullOn
+	bpuOff.BPUOn = false
+	lane := func(budget uint64, mk func() core.Manager) func() Config {
+		return func() Config {
+			return Config{
+				Design:          arch.Server(),
+				Manager:         mk(),
+				Phase:           smallPhaseConfig(),
+				MaxTranslations: budget,
+			}
+		}
+	}
+	script := func(ps ...pvt.Policy) func() core.Manager {
+		return func() core.Manager { return &scripted{script: ps} }
+	}
+	minPower := func() core.Manager { return core.MinPower() }
+	fullPower := func() core.Manager { return core.AlwaysOn() }
+	for _, tc := range []struct {
+		name  string
+		lanes []func() Config
+		check func(t *testing.T, st nodeStats)
+	}{
+		{
+			// Four min-power lanes gate at boot: the first clones the
+			// root, the rest join the clone, and the root, with no lane
+			// left on it, is never driven. Their predictors power off
+			// at boot, so no predictor node is ever driven.
+			name:  "identical histories share one node",
+			lanes: []func() Config{lane(n, minPower), lane(n, minPower), lane(n, minPower), lane(n, minPower)},
+			check: func(t *testing.T, st nodeStats) {
+				want := nodeStats{mlcNodes: 2, bpuNodes: 1, mlcDriven: n}
+				if st != want {
+					t.Errorf("stats %+v, want %+v", st, want)
+				}
+			},
+		},
+		{
+			// Two lanes leave the root at window 3: after that only
+			// their shared clone is driven.
+			name:  "the root is retired once no lane is on it",
+			lanes: []func() Config{lane(n, script(full, full, full, one)), lane(n, script(full, full, full, one))},
+			check: func(t *testing.T, st nodeStats) {
+				if st.mlcNodes != 2 || st.mlcDriven != n {
+					t.Errorf("stats %+v, want 2 MLC nodes driven %d times in all", st, n)
+				}
+			},
+		},
+		{
+			// Gating one node to different way counts at one boundary
+			// makes one node per count: four ways, one way, and the
+			// root the full-power lane stays on.
+			name:  "different ways at one boundary do not share",
+			lanes: []func() Config{lane(n, script(half)), lane(n, script(one)), lane(n, script(half)), lane(n, fullPower)},
+			check: func(t *testing.T, st nodeStats) {
+				if st.mlcNodes != 3 || st.mlcDriven != 3*n {
+					t.Errorf("stats %+v, want 3 MLC nodes driven %d times each", st, n)
+				}
+			},
+		},
+		{
+			// A lone lane gates the root itself.
+			name:  "a lone lane gates its node in place",
+			lanes: []func() Config{lane(n, minPower)},
+			check: func(t *testing.T, st nodeStats) {
+				if st.mlcNodes != 1 || st.mlcDriven != n {
+					t.Errorf("stats %+v, want 1 MLC node driven %d times", st, n)
+				}
+			},
+		},
+		{
+			// The scripted lane clones the root (the full-power lane
+			// stays on it) when it drops to one way, and powers its
+			// clone back up in place: it never rejoins the root, whose
+			// lost lines its own MLC no longer holds.
+			name:  "a lane goes 8 to 1 to 8 ways",
+			lanes: []func() Config{lane(n, script(full, full, one, one, one, full)), lane(n, fullPower)},
+			check: func(t *testing.T, st nodeStats) {
+				if st.mlcNodes != 2 || st.mlcDriven <= n || st.mlcDriven >= 2*n {
+					t.Errorf("stats %+v, want 2 MLC nodes, the clone driven from window 2", st)
+				}
+			},
+		},
+		{
+			// Boot powers every predictor on one root node; two lanes
+			// power off at boot and back on at window 3 onto one node,
+			// a third at window 4 onto another.
+			name: "lanes re-enabling the predictor together share one node",
+			lanes: []func() Config{
+				lane(n, fullPower),
+				lane(n, script(bpuOff, bpuOff, bpuOff, full)),
+				lane(n, script(bpuOff, bpuOff, bpuOff, full)),
+				lane(n, script(bpuOff, bpuOff, bpuOff, bpuOff, full)),
+			},
+			check: func(t *testing.T, st nodeStats) {
+				if st.bpuNodes != 3 || st.bpuDriven >= 3*n {
+					t.Errorf("stats %+v, want 3 predictor nodes", st)
+				}
+			},
+		},
+		{
+			// The full-power lane stops at 1000 executions and takes
+			// the root MLC and predictor with it.
+			name:  "a lane with a smaller budget releases its nodes",
+			lanes: []func() Config{lane(1000, fullPower), lane(n, minPower)},
+			check: func(t *testing.T, st nodeStats) {
+				want := nodeStats{mlcNodes: 2, bpuNodes: 1, mlcDriven: 1000 + n, bpuDriven: 1000}
+				if st != want {
+					t.Errorf("stats %+v, want %+v", st, want)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := vectorPhasedProgram(t)
+			cfgs := make([]Config, len(tc.lanes))
+			lanes := make([]int, len(tc.lanes))
+			for i, mk := range tc.lanes {
+				cfgs[i], lanes[i] = mk(), i
+			}
+			results := make([]*Result, len(cfgs))
+			st, err := runGroup(p, keyOf(&cfgs[0]), program.CompileAll(p), cfgs, lanes, results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, st)
+			for i, mk := range tc.lanes {
+				requireIdentical(t, fmt.Sprintf("lane %d", i), results[i], MustRun(vectorPhasedProgram(t), mk()))
+			}
+		})
 	}
 }

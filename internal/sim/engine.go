@@ -86,14 +86,11 @@ type engine struct {
 	shards     VectorShards
 
 	// Batched-lane state (batch.go). A lane engine has a nil walker: the
-	// batch front-end walks the program once and hands each execution's
-	// dynamics to the lanes through replay, whose cursors index the
-	// record's per-op slices. laneExec mirrors walker.Executed() so the
-	// run-budget and progress arithmetic is identical on both paths.
-	replay   *execRecord
-	replayB  int // next branch entry
-	replayM  int // next memory entry
-	replayV  int // next L1-victim entry
+	// batch front-end fe walks the program once and owns the MLC and
+	// large-predictor nodes the lane's units read their outcomes from.
+	// laneExec mirrors walker.Executed() so the run-budget and progress
+	// arithmetic is identical on both paths.
+	fe       *frontEnd
 	laneExec uint64
 }
 
@@ -267,8 +264,8 @@ func (s *engine) run() {
 // executeRegion runs one execution of region ri through the BT system,
 // the compiled op stream and the window machinery. It is the per-execution
 // kernel shared by the solo run loop and the batched lane driver; on the
-// batched path the instruction dynamics come from s.replay instead of the
-// walker (see unit.go).
+// batched path the units price each op from the front-end's nodes instead
+// of simulating it (see unit.go).
 func (s *engine) executeRegion(ri int, issueCycle float64) {
 	tr, extra := s.btSys.Execute(ri)
 	s.cycles += extra

@@ -263,11 +263,21 @@ func (v *vpuUnit) timeoutVectorOp() {
 }
 
 // bpuUnit manages the branch prediction unit: the large tournament
-// predictor is gated to the always-on small local predictor.
+// predictor is gated to the always-on small local predictor. A solo run
+// owns its predictors (unit). A batched lane owns none: while its large
+// predictor is on, node is the front-end's predictor powered on when the
+// lane's was, and each branch's verdict is read from out, that node's
+// verdicts or the small predictor's for the current execution.
 type bpuUnit struct {
 	e    *engine
 	unit *bpu.Unit
 	g    *gating.Unit
+
+	node    *bpuNode
+	out     []uint8
+	next    int
+	penalty [2]float64 // cycles added for a wrong (0) or right (1) verdict
+	pending uint64     // lane branches since the predictor's last power change
 
 	branches    uint64
 	mispredicts uint64
@@ -281,22 +291,65 @@ type bpuUnit struct {
 	// Dynamic-energy access tallies at the two power levels.
 	largeAcc uint64
 	smallAcc uint64
-
-	// pristineLarge marks a batched lane whose large predictor has never
-	// been gated off: its state equals the batch group's never-gated
-	// reference, so branches consume the recorded reference verdict
-	// instead of training a private copy. The first gate-off clears the
-	// flag — gating resets the large predictor, so from that point the
-	// lane's own (reset-state) Tournament is exactly what a solo run
-	// would hold. Always false on the solo path.
-	pristineLarge bool
 }
 
 func newBPUUnit(e *engine) *bpuUnit {
-	return &bpuUnit{
-		e:    e,
-		unit: bpu.NewUnit(e.design.BPU),
-		g:    gating.NewUnit(arch.UnitBPU, 1),
+	b := &bpuUnit{
+		e:       e,
+		g:       gating.NewUnit(arch.UnitBPU, 1),
+		penalty: [2]float64{e.design.MispredictPenalty, 0},
+	}
+	if e.walker != nil {
+		b.unit = bpu.NewUnit(e.design.BPU)
+	}
+	return b
+}
+
+// largeOn reports whether the large predictor is powered.
+func (b *bpuUnit) largeOn() bool {
+	if b.unit != nil {
+		return b.unit.LargeOn()
+	}
+	return b.node != nil
+}
+
+// setLargeOn powers the large predictor on or off. Off loses its state;
+// a batched lane powering on joins the front-end's predictor node for
+// this execution boundary, which starts from reset.
+func (b *bpuUnit) setLargeOn(on bool) {
+	if b.unit != nil {
+		b.unit.SetLargeOn(on)
+		return
+	}
+	if on == (b.node != nil) {
+		return
+	}
+	b.file()
+	if on {
+		b.node = b.e.fe.powerOn()
+	} else {
+		b.e.fe.powerOff(b.node)
+		b.node = nil
+	}
+}
+
+// file adds a batched lane's branches since the last power change to the
+// access tally of the level they ran at.
+func (b *bpuUnit) file() {
+	if b.node != nil {
+		b.largeAcc += b.pending
+	} else {
+		b.smallAcc += b.pending
+	}
+	b.pending = 0
+}
+
+// startExec points a batched lane at its verdicts for the current
+// execution.
+func (b *bpuUnit) startExec(rec *execRecord) {
+	b.out, b.next = rec.small, 0
+	if b.node != nil {
+		b.out = b.node.out
 	}
 }
 
@@ -307,15 +360,12 @@ func (b *bpuUnit) enact(policy pvt.Policy) {
 		b.enactIdle(policy)
 		return
 	}
-	if policy.BPUOn == b.unit.LargeOn() {
+	if policy.BPUOn == b.largeOn() {
 		return
 	}
 	stall := b.e.design.GateStallBPU
 	b.e.stallFor(stall)
-	if !policy.BPUOn {
-		b.pristineLarge = false
-	}
-	b.unit.SetLargeOn(policy.BPUOn)
+	b.setLargeOn(policy.BPUOn)
 	frac := 1.0
 	if !policy.BPUOn {
 		frac = bpuOffPowerFrac
@@ -332,7 +382,7 @@ func (b *bpuUnit) enactIdle(policy pvt.Policy) {
 			return
 		}
 		stall := b.e.design.GateStallBPU + b.curIdle.ExitCycles
-		b.unit.SetLargeOn(true)
+		b.setLargeOn(true)
 		b.curIdle = nil
 		b.e.stallFor(stall)
 		b.e.chargeSwitch(b.g, 1, b.e.cycles, stall)
@@ -342,8 +392,7 @@ func (b *bpuUnit) enactIdle(policy pvt.Policy) {
 		return
 	}
 	stall := b.e.design.GateStallBPU + b.idle.EntryCycles
-	b.pristineLarge = false
-	b.unit.SetLargeOn(false)
+	b.setLargeOn(false)
 	b.curIdle = b.idle
 	b.e.stallFor(stall)
 	b.e.chargeSwitch(b.g, b.idle.PowerFrac, b.e.cycles, stall)
@@ -351,12 +400,12 @@ func (b *bpuUnit) enactIdle(policy pvt.Policy) {
 
 func (b *bpuUnit) absorbDirective(d core.Directive) { b.idle = d.BPUIdle }
 
-func (b *bpuUnit) fillPolicy(p *pvt.Policy) { p.BPUOn = b.unit.LargeOn() }
+func (b *bpuUnit) fillPolicy(p *pvt.Policy) { p.BPUOn = b.largeOn() }
 
 func (b *bpuUnit) windowProfile(prof *cde.WindowProfile) {
 	prof.Branches = b.winBranches
 	prof.Mispredicts = b.winMispred
-	prof.LargeBPUActive = b.unit.LargeOn()
+	prof.LargeBPUActive = b.largeOn()
 	b.winBranches, b.winMispred = 0, 0
 }
 
@@ -365,6 +414,7 @@ func (b *bpuUnit) windowBoundary() {}
 func (b *bpuUnit) sampleInterval(*Sample) {}
 
 func (b *bpuUnit) flushAccesses(acct *power.Accountant) {
+	b.file()
 	acct.AddAccesses(arch.UnitBPU, b.largeAcc, 1)
 	acct.AddAccesses(arch.UnitBPU, b.smallAcc, bpuOffPowerFrac)
 }
@@ -375,30 +425,14 @@ func (b *bpuUnit) report(r *Result) {
 	r.Mispredicts = b.mispredicts
 }
 
-// execBranch models one guest branch through the active predictor. On the
-// batched path the outcome and the small predictor's verdict come from the
-// shared front-end record: the always-on small predictor sees the same
-// (PC, outcome) stream whatever this lane's gating history, so its state —
-// and hence its verdict — is lane-independent; only the gateable large
-// predictor (reset on every gate-off) is consulted per lane.
+// execBranch models one guest branch through the active predictor.
 func (b *bpuUnit) execBranch(ri int, inst isa.Inst, issueCycle float64) {
-	var taken, correct bool
-	if rec := b.e.replay; rec != nil {
-		bits := rec.branch[b.e.replayB]
-		b.e.replayB++
-		taken = bits&recTaken != 0
-		switch {
-		case !b.unit.LargeOn():
-			correct = bits&recSmallCorrect != 0
-		case b.pristineLarge:
-			correct = bits&recLargeCorrect != 0
-		default:
-			correct = b.unit.Large.Access(inst.PC, taken)
-		}
-	} else {
-		taken = b.e.walker.BranchOutcome(ri, inst.Sel)
-		correct = b.unit.Access(inst.PC, taken)
+	if b.unit == nil {
+		b.replayBranch(issueCycle)
+		return
 	}
+	taken := b.e.walker.BranchOutcome(ri, inst.Sel)
+	correct := b.unit.Access(inst.PC, taken)
 	b.e.uops++
 	b.e.coreAccesses++
 	b.e.cycles += issueCycle
@@ -416,8 +450,31 @@ func (b *bpuUnit) execBranch(ri int, inst isa.Inst, issueCycle float64) {
 	}
 }
 
+// replayBranch prices one branch of a batched lane from its verdict, with
+// no predictor access and no branch on the outcome: the front-end's
+// predictors see the same (PC, outcome) stream a solo run's would, so
+// the verdict is the solo one. The mispredict penalty is added as a
+// separate step, as execBranch adds it; adding 0 leaves the clock as is.
+func (b *bpuUnit) replayBranch(issueCycle float64) {
+	v := b.out[b.next] & 1
+	b.next++
+	b.e.uops++
+	b.e.coreAccesses++
+	b.e.cycles += issueCycle
+	b.branches++
+	b.winBranches++
+	b.pending++
+	wrong := uint64(1 - v)
+	b.mispredicts += wrong
+	b.winMispred += wrong
+	b.e.cycles += b.penalty[v]
+}
+
 // mlcUnit manages the middle-level cache: three-state way gating with
-// dirty-line writeback on downsizing.
+// dirty-line writeback on downsizing. A solo run owns its hierarchy. A
+// batched lane owns no cache: node is the front-end's MLC for the lane's
+// gating history, and each memory op's outcome is read from out, that
+// node's outcomes for the current execution.
 type mlcUnit struct {
 	e    *engine
 	hier *cache.Hierarchy
@@ -436,20 +493,11 @@ type mlcUnit struct {
 	// accesses is the whole-run MLC access count, filled at flush time.
 	accesses uint64
 
-	// Batched-lane pristine state. While sharedMLC is non-nil the lane
-	// has never gated its MLC, so its contents equal the batch group's
-	// never-gated reference: memory ops consume the recorded reference
-	// outcomes without touching any cache arrays, with the lane's memory
-	// traffic tracked in prReads/prWrites, and the lane has no hierarchy
-	// of its own. The first gating transition builds the lane's
-	// hierarchy around a clone of the reference and clears sharedMLC
-	// (see diverge). Cached latencies keep the pristine hot path free of
-	// config-struct copies.
-	sharedMLC *cache.Cache
-	prReads   uint64
-	prWrites  uint64
-	mlcLat    float64
-	memLat    float64
+	node    *mlcNode
+	out     []uint8
+	next    int
+	cost    [4]float64 // issue slot + stall per outcome (memL1Miss | memMLCHit)
+	pending uint64     // lane MLC accesses since the last power change
 }
 
 // fracCount tallies accesses at one power fraction.
@@ -459,41 +507,57 @@ type fracCount struct {
 }
 
 // newMLCUnit builds the unit. A solo run owns its hierarchy from the
-// start; a batched lane (nil walker) starts pristine on the group's
-// reference MLC, which runGroup attaches, and builds a hierarchy only
-// when it diverges.
+// start; a batched lane (nil walker) builds none and is put on the
+// front-end's root MLC node when it joins the group.
 func newMLCUnit(e *engine) *mlcUnit {
 	m := &mlcUnit{
 		e:         e,
 		g:         gating.NewUnit(arch.UnitMLC, 1),
 		accByFrac: make([]fracCount, 0, 4),
-		mlcLat:    e.design.Mem.MLCLatency,
-		memLat:    e.design.Mem.MemLatency,
 	}
 	if e.walker != nil {
 		m.hier = cache.NewHierarchy(e.design.Mem)
+		return m
 	}
+	issue := 1 / e.design.IssueWidth
+	m.cost[0] = issue
+	m.cost[memL1Miss] = issue + e.design.Mem.MemLatency
+	m.cost[memL1Miss|memMLCHit] = issue + e.design.Mem.MLCLatency
 	return m
 }
 
-// activeWays is the MLC's powered way count. A pristine lane has never
-// gated, so all of its ways are on.
+// activeWays is the MLC's powered way count.
 func (m *mlcUnit) activeWays() int {
-	if m.sharedMLC != nil {
-		return m.e.design.Mem.MLC.Ways
+	if m.hier != nil {
+		return m.hier.MLC().ActiveWays()
 	}
-	return m.hier.MLC().ActiveWays()
+	return m.node.c.ActiveWays()
 }
 
-// addAccess records one MLC access at the given power fraction.
-func (m *mlcUnit) addAccess(frac float64) {
+// addAccesses records n MLC accesses at the given power fraction.
+func (m *mlcUnit) addAccesses(frac float64, n uint64) {
 	for i := range m.accByFrac {
 		if m.accByFrac[i].frac == frac {
-			m.accByFrac[i].n++
+			m.accByFrac[i].n += n
 			return
 		}
 	}
-	m.accByFrac = append(m.accByFrac, fracCount{frac: frac, n: 1})
+	m.accByFrac = append(m.accByFrac, fracCount{frac: frac, n: n})
+}
+
+// file adds a batched lane's accesses since the last power change to the
+// tally of the fraction they ran at.
+func (m *mlcUnit) file() {
+	if m.pending > 0 {
+		m.addAccesses(m.g.PowerFrac(), m.pending)
+		m.pending = 0
+	}
+}
+
+// startExec points a batched lane at its node's outcomes for the current
+// execution.
+func (m *mlcUnit) startExec() {
+	m.out, m.next = m.node.out, 0
 }
 
 func (m *mlcUnit) gate() *gating.Unit { return m.g }
@@ -504,8 +568,13 @@ func (m *mlcUnit) enact(policy pvt.Policy) {
 	if wantWays == m.activeWays() {
 		return
 	}
-	m.diverge()
-	dirty := m.hier.GateMLC(wantWays)
+	var dirty int
+	if m.hier != nil {
+		dirty = m.hier.GateMLC(wantWays)
+	} else {
+		m.file()
+		m.node, dirty = m.e.fe.gateMLC(m.node, wantWays)
+	}
 	stall := m.e.design.GateStallMLC + float64(dirty)*m.e.design.WritebackCyclesPerLine
 	m.e.stallFor(stall)
 	m.e.chargeSwitch(m.g, policy.MLC.PowerFrac(totalWays), m.e.cycles, stall)
@@ -538,6 +607,7 @@ func (m *mlcUnit) sampleInterval(smp *Sample) {
 }
 
 func (m *mlcUnit) flushAccesses(acct *power.Accountant) {
+	m.file()
 	// Flush levels in ascending order so the floating-point accumulation
 	// over power fractions is reproducible run to run.
 	sort.Slice(m.accByFrac, func(i, j int) bool {
@@ -557,37 +627,20 @@ func (m *mlcUnit) report(r *Result) {
 	r.MLCAccesses = m.accesses
 }
 
-// execMem models one guest load or store through the cache hierarchy. On
-// the batched path the address and the L1's hit/writeback/victim outcome
-// come from the shared front-end record — the L1 sits above the gateable
-// MLC, so its behaviour is lane-independent — and only this lane's MLC
-// (whose contents diverge under way gating) is consulted, via ReplayAccess.
+// execMem models one guest load or store through the cache hierarchy.
 func (m *mlcUnit) execMem(ri int, inst isa.Inst, issueCycle float64) {
-	var res cache.AccessResult
-	if rec := m.e.replay; rec != nil {
-		bits := rec.mem[m.e.replayM]
-		addr := rec.addrs[m.e.replayM]
-		m.e.replayM++
-		var victim uint64
-		if bits&recL1WB != 0 {
-			victim = rec.victims[m.e.replayV]
-			m.e.replayV++
-		}
-		if m.sharedMLC != nil {
-			res = m.replayPristine(bits)
-		} else {
-			res = m.hier.ReplayAccess(addr, bits&recL1Hit != 0, bits&recL1WB != 0, victim)
-		}
-	} else {
-		addr := m.e.walker.Address(ri, inst.Sel)
-		res = m.hier.Access(addr, inst.Kind == isa.Store)
+	if m.hier == nil {
+		m.replayMem()
+		return
 	}
+	addr := m.e.walker.Address(ri, inst.Sel)
+	res := m.hier.Access(addr, inst.Kind == isa.Store)
 	m.e.uops++
 	m.e.coreAccesses++
 	m.e.cycles += issueCycle + res.StallCycles
 	m.memOps++
 	if res.MLCAccessed {
-		m.addAccess(m.g.PowerFrac())
+		m.addAccesses(m.g.PowerFrac(), 1)
 	}
 	if res.MLCHit {
 		m.mlcHits++
@@ -596,54 +649,23 @@ func (m *mlcUnit) execMem(ri int, inst isa.Inst, issueCycle float64) {
 	}
 }
 
-// replayPristine reconstructs a memory op's AccessResult for a lane that
-// has never gated its MLC, purely from the recorded reference-MLC
-// outcome bits — no cache arrays are touched, which is where batching's
-// memory-path amortization comes from. The lane's main-memory traffic is
-// tracked so diverge can seed the hierarchy's counters.
-func (m *mlcUnit) replayPristine(bits uint8) cache.AccessResult {
-	var res cache.AccessResult
-	res.L1Hit = bits&recL1Hit != 0
-	if bits&recL1WB != 0 {
-		res.Writebacks++
-		res.MLCAccessed = true
-		if bits&recWB2 != 0 {
-			res.Writebacks++
-			m.prWrites++
-		}
-	}
-	if res.L1Hit {
-		return res
-	}
-	res.MLCAccessed = true
-	if bits&recMLCWB != 0 {
-		res.Writebacks++
-		m.prWrites++
-	}
-	if bits&recMLCHit != 0 {
-		res.MLCHit = true
-		res.StallCycles = m.mlcLat
-	} else {
-		res.MemAccessed = true
-		m.prReads++
-		res.StallCycles = m.memLat
-	}
-	return res
-}
-
-// diverge forks the lane-private MLC off the batch group's never-gated
-// reference just before the lane's first gating transition mutates it.
-// Gating is enacted between region executions (at boot or a window
-// boundary), and the front-end records execution k before any lane
-// processes it, so the reference's contents at that instant are exactly
-// what this lane's own MLC would hold. Solo runs and already-diverged
-// lanes are no-ops.
-func (m *mlcUnit) diverge() {
-	if m.sharedMLC == nil {
-		return
-	}
-	m.hier = cache.NewReplayHierarchy(m.e.design.Mem, m.sharedMLC.Clone(), m.prReads, m.prWrites)
-	m.sharedMLC = nil
+// replayMem prices one memory op of a batched lane from its node's
+// outcome, with no cache access and no branch on the outcome: the issue
+// slot and stall come from the lane's cost table in the one addition
+// execMem makes, the MLC access joins the pending tally and a hit counts
+// one in each hit counter.
+func (m *mlcUnit) replayMem() {
+	o := m.out[m.next]
+	m.next++
+	m.e.uops++
+	m.e.coreAccesses++
+	m.e.cycles += m.cost[o&3]
+	m.memOps++
+	m.pending += uint64(o & memL1Miss)
+	hit := uint64(o >> 1 & 1)
+	m.mlcHits += hit
+	m.winL2Hits += hit
+	m.intMLCHits += hit
 }
 
 // unitActivity converts a gating tracker into the reported summary.
