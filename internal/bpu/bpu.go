@@ -283,7 +283,9 @@ func (t *Tournament) Access(pc uint32, taken bool) bool {
 }
 
 // Reset implements Predictor, modelling the loss of global, chooser, local
-// and BTB state when the unit is power gated.
+// and BTB state when the unit is power gated. It restores exactly the
+// state NewTournament returns, so a reset predictor can stand in for a
+// new one.
 func (t *Tournament) Reset() {
 	for i := range t.local {
 		t.local[i] = 1
@@ -305,16 +307,8 @@ func bit(b bool) uint8 {
 	return 0
 }
 
-// Unit is the complete BPU as the core sees it: the small predictor is
-// always powered; the large predictor can be gated off, losing its state.
-type Unit struct {
-	Small *Bimodal
-	Large *Tournament
-
-	largeOn bool
-}
-
-// Config sizes a BPU unit.
+// Config sizes the BPU: the always-powered small predictor and the large
+// predictor that can be gated off, losing its state.
 type Config struct {
 	SmallEntries  int // small predictor counter table
 	SmallBTB      int // small predictor BTB
@@ -354,45 +348,4 @@ func MobileConfig() Config {
 		},
 		LargeOnAtBoot: true,
 	}
-}
-
-// NewUnit builds the BPU for a configuration.
-func NewUnit(cfg Config) *Unit {
-	return &Unit{
-		Small:   NewBimodal(cfg.SmallEntries, cfg.SmallBTB),
-		Large:   NewTournament(cfg.Large),
-		largeOn: cfg.LargeOnAtBoot,
-	}
-}
-
-// LargeOn reports whether the large predictor is currently powered.
-func (u *Unit) LargeOn() bool { return u.largeOn }
-
-// SetLargeOn powers the large predictor on or off. Gating it off loses its
-// state; it comes back cold ("rewarm").
-func (u *Unit) SetLargeOn(on bool) {
-	if u.largeOn && !on {
-		u.Large.Reset()
-	}
-	u.largeOn = on
-}
-
-// Access resolves one branch through the active predictor and reports
-// whether the prediction was correct. The small predictor always trains so
-// that its state is warm whenever the large one is gated, matching a
-// hardware local predictor that is never powered down.
-func (u *Unit) Access(pc uint32, taken bool) bool {
-	smallCorrect := u.Small.Access(pc, taken)
-	if !u.largeOn {
-		return smallCorrect
-	}
-	return u.Large.Access(pc, taken)
-}
-
-// Active returns the predictor currently steering fetch.
-func (u *Unit) Active() Predictor {
-	if u.largeOn {
-		return u.Large
-	}
-	return u.Small
 }

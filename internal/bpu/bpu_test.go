@@ -1,6 +1,7 @@
 package bpu
 
 import (
+	"reflect"
 	"testing"
 
 	"powerchop/internal/isa"
@@ -221,6 +222,18 @@ func TestResetLosesState(t *testing.T) {
 	}
 }
 
+func TestTournamentResetMatchesNew(t *testing.T) {
+	cfg := ServerConfig().Large
+	p := NewTournament(cfg)
+	for i := uint32(0); i < 5000; i++ {
+		p.Access(i*4, i%3 != 0)
+	}
+	p.Reset()
+	if !reflect.DeepEqual(p, NewTournament(cfg)) {
+		t.Fatal("Reset left state that NewTournament does not start with")
+	}
+}
+
 func TestBTBMissCountsAsMispredict(t *testing.T) {
 	p := NewBimodal(64, 64)
 	pc := uint32(0x10)
@@ -237,55 +250,6 @@ func TestBTBMissCountsAsMispredict(t *testing.T) {
 	p2 := NewBimodal(64, 64)
 	if ok := p2.Access(0x20, false); !ok {
 		t.Fatal("not-taken branch predicted not-taken should be correct without BTB")
-	}
-}
-
-func TestUnitGating(t *testing.T) {
-	u := NewUnit(MobileConfig())
-	if !u.LargeOn() {
-		t.Fatal("large predictor should boot on")
-	}
-	if u.Active() != u.Large {
-		t.Fatal("active predictor should be the tournament at boot")
-	}
-	// Train the large predictor, then gate it off; state must be lost.
-	pc := uint32(0x44)
-	for i := 0; i < 50; i++ {
-		u.Access(pc, true)
-	}
-	u.SetLargeOn(false)
-	if u.Active() != Predictor(u.Small) {
-		t.Fatal("active predictor should be the bimodal when gated")
-	}
-	if pred, _ := u.Large.Predict(pc); pred {
-		t.Fatal("gating off did not reset the large predictor")
-	}
-	// The small predictor kept training while the large one was active.
-	if pred, known := u.Small.Predict(pc); !pred || !known {
-		t.Fatal("small predictor was not kept warm")
-	}
-	u.SetLargeOn(true)
-	if u.Active() != Predictor(u.Large) {
-		t.Fatal("active predictor should be the tournament after re-gating on")
-	}
-}
-
-func TestUnitAccessUsesActivePredictor(t *testing.T) {
-	u := NewUnit(MobileConfig())
-	u.SetLargeOn(false)
-	pc := uint32(0x60)
-	for i := 0; i < 20; i++ {
-		u.Access(pc, true)
-	}
-	// With the small predictor warm, accuracy via the unit should be high.
-	correct := 0
-	for i := 0; i < 100; i++ {
-		if u.Access(pc, true) {
-			correct++
-		}
-	}
-	if correct < 95 {
-		t.Fatalf("unit accuracy through small predictor = %d/100", correct)
 	}
 }
 

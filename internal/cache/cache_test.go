@@ -145,6 +145,68 @@ func TestWayGatingFlushesDirtyLines(t *testing.T) {
 	}
 }
 
+// mlcConfig is a 64KB 8-way MLC: 8KB per way.
+func mlcConfig() Config {
+	return Config{SizeBytes: 1 << 16, Ways: 8, LineBytes: 64}
+}
+
+func TestGateMLCFlushesAndShrinks(t *testing.T) {
+	c := New(mlcConfig())
+	rnd := rng.New(3)
+	for i := 0; i < 5000; i++ {
+		c.Access(rnd.Uint64n(1<<15), true)
+	}
+	flushed := c.SetActiveWays(1)
+	if c.ActiveWays() != 1 {
+		t.Fatalf("MLC active ways = %d", c.ActiveWays())
+	}
+	if flushed == 0 {
+		t.Fatal("gating a dirty MLC flushed nothing")
+	}
+	if got, max := c.ValidLines(), mlcConfig().Sets(); got > max {
+		t.Fatalf("valid lines = %d after gating to one way of %d sets", got, max)
+	}
+}
+
+func TestGatedMLCStillServices(t *testing.T) {
+	c := New(mlcConfig())
+	c.SetActiveWays(1)
+	c.Access(0x9000, false)
+	// Lines in other sets leave the one-way MLC's copy in place.
+	for i := uint64(1); i < 6; i++ {
+		c.Access(0x9000+i*64, false)
+	}
+	if hit, _, _ := c.Access(0x9000, false); !hit {
+		t.Fatal("1-way MLC failed to service a resident line")
+	}
+}
+
+func TestHitRateDropsWhenGated(t *testing.T) {
+	c := New(mlcConfig())
+	rnd := rng.New(9)
+	ws := uint64(48 << 10) // fits the 64KB MLC, not its 8KB single way
+	warm := func() {
+		for i := 0; i < 30000; i++ {
+			c.Access(rnd.Uint64n(ws), false)
+		}
+	}
+	warm()
+	c.ResetStats()
+	warm()
+	full := c.Stats().HitRate()
+	c.SetActiveWays(1)
+	warm()
+	c.ResetStats()
+	warm()
+	gated := c.Stats().HitRate()
+	if full < 0.95 {
+		t.Fatalf("full MLC hit rate = %v, want high", full)
+	}
+	if gated > full-0.3 {
+		t.Fatalf("gated hit rate %v not clearly below full %v", gated, full)
+	}
+}
+
 func TestSetActiveWaysPanics(t *testing.T) {
 	c := New(smallConfig())
 	for _, n := range []int{0, 3, 8, -1} {

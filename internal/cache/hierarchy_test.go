@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"testing"
-
-	"powerchop/internal/rng"
-)
+import "testing"
 
 func testHierarchyConfig() HierarchyConfig {
 	return HierarchyConfig{
@@ -34,133 +30,4 @@ func TestHierarchyConfigValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Fatal("bad MLC accepted")
 	}
-}
-
-func TestColdAccessGoesToMemory(t *testing.T) {
-	h := NewHierarchy(testHierarchyConfig())
-	r := h.Access(0x123456, false)
-	if r.L1Hit || r.MLCHit || !r.MLCAccessed || !r.MemAccessed {
-		t.Fatalf("cold access result = %+v", r)
-	}
-	if r.StallCycles != 180 {
-		t.Fatalf("cold stall = %v", r.StallCycles)
-	}
-	if h.MemReads() != 1 {
-		t.Fatalf("mem reads = %d", h.MemReads())
-	}
-}
-
-func TestL1HitIsFree(t *testing.T) {
-	h := NewHierarchy(testHierarchyConfig())
-	h.Access(0x1000, false)
-	r := h.Access(0x1000, false)
-	if !r.L1Hit || r.StallCycles != 0 || r.MLCAccessed {
-		t.Fatalf("L1 hit result = %+v", r)
-	}
-}
-
-func TestMLCHitAfterL1Eviction(t *testing.T) {
-	h := NewHierarchy(testHierarchyConfig())
-	// Fill one L1 set (4 ways) past capacity so the first line falls to
-	// MLC-only residence.
-	l1SetStride := uint64(h.L1().Config().Sets() * 64)
-	for i := uint64(0); i < 5; i++ {
-		h.Access(i*l1SetStride, false)
-	}
-	r := h.Access(0, false)
-	if r.L1Hit {
-		t.Fatal("expected L1 miss after eviction")
-	}
-	if !r.MLCHit {
-		t.Fatal("expected MLC hit for recently evicted line")
-	}
-	if r.StallCycles != 12 {
-		t.Fatalf("MLC stall = %v", r.StallCycles)
-	}
-}
-
-func TestDirtyL1EvictionWritesToMLC(t *testing.T) {
-	h := NewHierarchy(testHierarchyConfig())
-	l1SetStride := uint64(h.L1().Config().Sets() * 64)
-	h.Access(0, true) // dirty in L1
-	var sawWB bool
-	for i := uint64(1); i < 6; i++ {
-		r := h.Access(i*l1SetStride, false)
-		if r.Writebacks > 0 {
-			sawWB = true
-		}
-	}
-	if !sawWB {
-		t.Fatal("dirty L1 eviction did not produce a writeback")
-	}
-}
-
-func TestGateMLCFlushesAndShrinks(t *testing.T) {
-	h := NewHierarchy(testHierarchyConfig())
-	rnd := rng.New(3)
-	// Build up dirty MLC state via dirty L1 evictions.
-	for i := 0; i < 5000; i++ {
-		h.Access(rnd.Uint64n(1<<15), true)
-	}
-	flushed := h.GateMLC(1)
-	if h.MLC().ActiveWays() != 1 {
-		t.Fatalf("MLC active ways = %d", h.MLC().ActiveWays())
-	}
-	if flushed == 0 {
-		t.Fatal("gating a dirty MLC flushed nothing")
-	}
-	if h.MemWrites() == 0 {
-		t.Fatal("flushed lines were not counted as memory writes")
-	}
-}
-
-func TestGatedMLCStillServices(t *testing.T) {
-	h := NewHierarchy(testHierarchyConfig())
-	h.GateMLC(1)
-	h.Access(0x9000, false)
-	// Evict from L1 and re-access: the 1-way MLC can still hold the line.
-	l1SetStride := uint64(h.L1().Config().Sets() * 64)
-	for i := uint64(1); i < 6; i++ {
-		h.Access(0x9000+i*l1SetStride, false)
-	}
-	r := h.Access(0x9000, false)
-	if !r.MLCHit {
-		t.Fatal("1-way MLC failed to service a resident line")
-	}
-}
-
-func TestHitRateDropsWhenGated(t *testing.T) {
-	cfg := testHierarchyConfig()
-	h := NewHierarchy(cfg)
-	rnd := rng.New(9)
-	ws := uint64(48 << 10) // fits the 64KB MLC, not its 8KB single way
-	warm := func() {
-		for i := 0; i < 30000; i++ {
-			h.Access(rnd.Uint64n(ws), false)
-		}
-	}
-	warm()
-	h.MLC().ResetStats()
-	warm()
-	full := h.MLC().Stats().HitRate()
-	h.GateMLC(1)
-	warm()
-	h.MLC().ResetStats()
-	warm()
-	gated := h.MLC().Stats().HitRate()
-	if full < 0.95 {
-		t.Fatalf("full MLC hit rate = %v, want high", full)
-	}
-	if gated > full-0.3 {
-		t.Fatalf("gated hit rate %v not clearly below full %v", gated, full)
-	}
-}
-
-func TestNewHierarchyPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHierarchy with invalid config did not panic")
-		}
-	}()
-	NewHierarchy(HierarchyConfig{})
 }

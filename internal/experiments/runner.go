@@ -388,8 +388,8 @@ func kindRuns(kinds ...Kind) []BatchRun {
 // singleflight and persistent-cache semantics per lane. The whole set is
 // one Run call, so its cold lanes on one benchmark share batched
 // simulations — one instruction walk driving every lane of a group
-// (internal/sim.RunBatch), byte-identical to solo runs — and its groups
-// fill every job slot. An unknown policy fails the call before any work.
+// (internal/sim.RunBatch), byte-identical to one-lane runs — and its
+// groups fill every job slot. An unknown policy fails the call before any work.
 func (r *Runner) ResultSet(ctx context.Context, bs []workload.Benchmark, runs []BatchRun) ([][]*sim.Result, error) {
 	lanes := make([]Lane, len(runs))
 	for i, br := range runs {
@@ -660,9 +660,9 @@ func (r *Runner) groups(lanes []Lane, cold []int) [][]int {
 }
 
 // simulateGroup runs one group while holding a job slot: a group of one
-// under a "benchmark" span (sim.RunBatch runs it solo, beneath a "sim"
-// span), a wider group under a "benchbatch" span over sim.RunBatch's
-// shared walk ("simbatch"). Observed lanes' JSONL traces are flushed as
+// under a "benchmark" span (sim.RunBatch runs it as a one-lane group,
+// beneath a "sim" span), a wider group under a "benchbatch" span over
+// sim.RunBatch's shared walk ("simbatch"). Observed lanes' JSONL traces are flushed as
 // the group ends.
 func (r *Runner) simulateGroup(ctx context.Context, lanes []Lane, group []int) (res []*sim.Result, err error) {
 	p := lanes[group[0]].Program

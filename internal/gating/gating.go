@@ -128,11 +128,13 @@ func (u *Unit) Levels() []float64 {
 	return out
 }
 
-// TotalCycles returns the cycles accounted across all levels.
+// TotalCycles returns the cycles accounted across all levels, summed in
+// ascending level order: floating-point addition is not associative, so
+// a sum in map order could differ in its last bit from run to run.
 func (u *Unit) TotalCycles() float64 {
 	t := 0.0
-	for _, c := range u.residency {
-		t += c
+	for _, f := range u.Levels() {
+		t += u.residency[f]
 	}
 	return t
 }
@@ -156,9 +158,9 @@ func (u *Unit) FracBelow(frac float64) float64 {
 		return 0
 	}
 	sum := 0.0
-	for f, c := range u.residency {
+	for _, f := range u.Levels() {
 		if f < frac {
-			sum += c
+			sum += u.residency[f]
 		}
 	}
 	return sum / t

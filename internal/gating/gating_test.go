@@ -48,6 +48,25 @@ func TestGatedFrac(t *testing.T) {
 	}
 }
 
+// TestTotalCyclesDeterministic pins the residency sums to ascending level
+// order. The residencies below sum to 1e16 in that order and to 1e16+2
+// when both 1-cycle levels come first, so a sum in map order would
+// differ between calls.
+func TestTotalCyclesDeterministic(t *testing.T) {
+	u := NewUnit("MLC", 1)
+	u.Set(0.5, 1)
+	u.Set(0.125, 2)
+	u.CloseOut(1e16 + 2)
+	for i := 0; i < 100; i++ {
+		if got := u.TotalCycles(); got != 1e16 {
+			t.Fatalf("call %d: TotalCycles = %v, want 1e16 (ascending level order)", i, got)
+		}
+		if got := u.FracBelow(1); got != 1 {
+			t.Fatalf("call %d: FracBelow(1) = %v, want 1", i, got)
+		}
+	}
+}
+
 func TestLevels(t *testing.T) {
 	u := NewUnit("MLC", 1)
 	u.Set(0.125, 10)

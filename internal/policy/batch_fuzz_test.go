@@ -1,10 +1,12 @@
 package policy_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
 	"powerchop/internal/arch"
+	"powerchop/internal/obs"
 	"powerchop/internal/phase"
 	"powerchop/internal/policy"
 	"powerchop/internal/program"
@@ -24,12 +26,16 @@ func (in *fuzzInput) next() byte {
 	return b
 }
 
-// fuzzLane is one decoded lane: a registered policy, its parameters and
-// its run budget.
+// fuzzLane is one decoded lane: a registered policy, its parameters, its
+// run budget and its observers.
 type fuzzLane struct {
 	spec   policy.Spec
 	params policy.Params
 	budget uint64
+	// observe is 0 for an unobserved lane. Otherwise the lane carries
+	// its own JSONL tracer, plus metrics when bit 0 is set and an audit
+	// trail when bit 1 is.
+	observe byte
 }
 
 // decodeLane reads one lane. A first byte with the high bit set repeats
@@ -59,10 +65,12 @@ func decodeLane(in *fuzzInput, specs []policy.Spec, prev []fuzzLane) fuzzLane {
 	return l
 }
 
-// FuzzRunBatch is the batched engine's differential check over registered
+// FuzzRunBatch is the lane engine's differential check over registered
 // benchmarks: the fuzz bytes pick a benchmark, a design and 2–8 lanes,
 // each a registered policy with in-bounds parameters and its own budget,
-// and every lane of one RunBatch call must JSON-equal its solo Run.
+// then one observer byte per lane. Every lane of one RunBatch call must
+// JSON-equal its one-lane Run with the same observers, and write the same
+// trace bytes.
 func FuzzRunBatch(f *testing.F) {
 	specs := policy.All()
 	benches := workload.All()
@@ -82,42 +90,65 @@ func FuzzRunBatch(f *testing.F) {
 		for i := range lanes {
 			lanes[i] = decodeLane(&in, specs, lanes[:i])
 		}
-		cfg := func(l fuzzLane) sim.Config {
+		for i := range lanes {
+			lanes[i].observe = in.next() % 4
+		}
+		// cfg builds a lane's configuration with fresh observers; flush
+		// returns the lane's trace bytes once it has run.
+		cfg := func(l fuzzLane) (c sim.Config, flush func() string) {
 			m, err := l.spec.Manager(l.params)
 			if err != nil {
 				t.Fatalf("%s %v: %v", l.spec.Name, l.params, err)
 			}
-			return sim.Config{
+			c = sim.Config{
 				Design:          design,
 				Manager:         m,
 				Phase:           phase.Config{Capacity: 64, WindowSize: 50, SignatureLen: 4},
 				MaxTranslations: l.budget,
 			}
+			flush = func() string { return "" }
+			if l.observe != 0 {
+				var buf bytes.Buffer
+				jsonl := obs.NewJSONL(&buf)
+				c.Tracer, c.Metrics, c.Audit = jsonl, l.observe&1 != 0, l.observe&2 != 0
+				flush = func() string {
+					if err := jsonl.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					return buf.String()
+				}
+			}
+			return c, flush
+		}
+		encode := func(r *sim.Result) string {
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
 		}
 		cfgs := make([]sim.Config, len(lanes))
+		flushes := make([]func() string, len(lanes))
 		for i, l := range lanes {
-			cfgs[i] = cfg(l)
+			cfgs[i], flushes[i] = cfg(l)
 		}
 		batched, err := sim.RunBatch(p, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, l := range lanes {
-			solo, err := sim.Run(p, cfg(l))
+			c, flush := cfg(l)
+			alone, err := sim.Run(p, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := json.Marshal(solo)
-			if err != nil {
-				t.Fatal(err)
+			if encode(batched[i]) != encode(alone) {
+				t.Errorf("%s on %s: lane %d (%s %v, %d executions, observers %d) differs from its one-lane run",
+					p.Name, design.Name, i, l.spec.Name, l.params, l.budget, l.observe)
 			}
-			got, err := json.Marshal(batched[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("%s on %s: lane %d (%s %v, %d executions) differs from its solo run",
-					p.Name, design.Name, i, l.spec.Name, l.params, l.budget)
+			if flushes[i]() != flush() {
+				t.Errorf("%s on %s: lane %d (%s %v, %d executions, observers %d) traces differently from its one-lane run",
+					p.Name, design.Name, i, l.spec.Name, l.params, l.budget, l.observe)
 			}
 		}
 	})

@@ -113,9 +113,6 @@ func (w *Walker) Next() int {
 	return len(cum) - 1
 }
 
-// Region returns the region at index ri.
-func (w *Walker) Region(ri int) *Region { return w.prog.Regions[ri] }
-
 // BranchOutcome produces the dynamic outcome of the branch site sel within
 // region ri and records it in the global history register.
 func (w *Walker) BranchOutcome(ri int, sel uint8) bool {

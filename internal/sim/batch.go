@@ -10,17 +10,17 @@ import (
 	"powerchop/internal/cache"
 	"powerchop/internal/isa"
 	"powerchop/internal/obs/span"
-	"powerchop/internal/phase"
 	"powerchop/internal/program"
 )
 
-// Batched sweep execution: RunBatch drives N manager variants ("lanes")
-// from a single pass over the shared compiled op stream. Lanes diverge in
-// simulated time — different stall and gating cycles — so the walk is
-// instruction-synchronous, not cycle-synchronous: each lane keeps its own
-// cycle clock, window counters and phase state, and only the immutable
-// program, its compiled form, and the lane-independent instruction
-// dynamics are shared.
+// Lane groups: every run is a lane of a group that drives one or more
+// manager variants from a single pass over the shared compiled op
+// stream. Run is a group of one; RunBatch groups the lanes of a
+// parameter sweep. Lanes diverge in simulated time — different stall and
+// gating cycles — so the walk is instruction-synchronous, not
+// cycle-synchronous: each lane keeps its own cycle clock, window counters
+// and phase state, and only the immutable program, its compiled form,
+// and the lane-independent instruction dynamics are shared.
 //
 // The shared front-end owns everything whose evolution cannot depend on a
 // lane's gating decisions:
@@ -42,10 +42,11 @@ import (
 // on at the same execution share one predictor node. The front-end
 // drives each live node once per execution; a lane prices its ops from
 // its nodes' outcomes. Everything else — the BT runtime and its interrupt
-// counts, HTB windows, the manager, the power accountant — is per lane,
-// which is what makes every lane's Result byte-identical to a solo Run
-// with the same Config (test-enforced for every registered policy; see
-// batch_test.go and the policy conformance suite).
+// counts, HTB windows, the manager, the power accountant, the observers —
+// is per lane, which is what makes every lane's Result and event stream
+// byte-identical whether it runs alone or in a wider group (test-enforced
+// for every registered policy; see batch_test.go, the policy conformance
+// suite and the golden corpus in internal/policy).
 
 // Memory-op outcome bits. The record carries each memory op's L1 outcome
 // and each MLC node adds its own hit bit, so one byte of a node's out
@@ -68,8 +69,8 @@ type execRecord struct {
 }
 
 // l1Miss is one memory op the L1 passed to the MLC: the dirty victim's
-// writeback (when wb) and then the miss lookup, the order Hierarchy.Access
-// drives the MLC in.
+// writeback into the MLC (when wb) and then the miss lookup, in that
+// order.
 type l1Miss struct {
 	at     int // index among the execution's memory ops
 	wb     bool
@@ -110,8 +111,8 @@ type nodeStats struct {
 }
 
 // frontEnd is the shared first half of the pipeline: one walker, one L1
-// and one small predictor serving every lane in a batch group, plus the
-// live MLC and large-predictor nodes the lanes sit on.
+// and one small predictor serving every lane in a group, plus the live
+// MLC and large-predictor nodes the lanes sit on.
 type frontEnd struct {
 	walker   *program.Walker
 	l1       *cache.Cache
@@ -122,6 +123,7 @@ type frontEnd struct {
 
 	mlcs  []*mlcNode // live MLC nodes, the never-gated root first
 	bpus  []*bpuNode // live large-predictor nodes
+	spare []*bpuNode // retired predictor nodes, recycled by powerOn
 	fresh []mlcChild // MLC nodes gated since the last execution
 	on    *bpuNode   // the predictor powered on since the last execution
 	stats nodeStats
@@ -148,10 +150,9 @@ func newFrontEnd(p *program.Program, key batchKey, compiled []program.CompiledRe
 
 // record advances the walk by one region execution and captures its
 // dynamics: the drawn region, each branch's PC, outcome and
-// small-predictor verdict, each memory op's L1 outcome. The draws happen
-// in exactly the order a solo engine performs them (op order within the
-// compiled body), so the master walker's state after execution k matches
-// a solo walker's. It then drives every live node through the execution.
+// small-predictor verdict, each memory op's L1 outcome, drawn in op order
+// within the compiled body. It then drives every live node through the
+// execution.
 func (f *frontEnd) record() *execRecord {
 	ri := f.walker.Next()
 	r := &f.rec
@@ -257,25 +258,33 @@ func (f *frontEnd) leaveMLC(n *mlcNode) {
 }
 
 // powerOn puts a lane's large predictor on the node powered on at the
-// current execution boundary, making a fresh one if no lane has powered
-// on here yet.
+// current execution boundary. If no lane has powered on here yet, it
+// resets a retired node's tables, or makes a node when none is spare.
 func (f *frontEnd) powerOn() *bpuNode {
 	if n := f.on; n != nil && n.lanes > 0 {
 		n.lanes++
 		return n
 	}
-	n := &bpuNode{t: bpu.NewTournament(f.large), lanes: 1}
+	var n *bpuNode
+	if k := len(f.spare); k > 0 {
+		n, f.spare = f.spare[k-1], f.spare[:k-1]
+		n.t.Reset()
+	} else {
+		n = &bpuNode{t: bpu.NewTournament(f.large)}
+	}
+	n.lanes = 1
 	f.bpus = append(f.bpus, n)
 	f.on = n
 	f.stats.bpuNodes++
 	return n
 }
 
-// powerOff takes one lane off predictor node n, retiring the node once
-// no lane is on it.
+// powerOff takes one lane off predictor node n, retiring the node to the
+// spares once no lane is on it.
 func (f *frontEnd) powerOff(n *bpuNode) {
 	if n.lanes--; n.lanes == 0 {
 		f.bpus = without(f.bpus, n)
+		f.spare = append(f.spare, n)
 	}
 }
 
@@ -287,9 +296,9 @@ func without[T comparable](s []T, x T) []T {
 
 // batchKey groups lanes that can share one front-end: the front-end's
 // L1, small predictor and nodes are built from the design, so lanes must
-// agree on that slice of it. (The program and its compiled
-// stream are shared across the whole call. Latencies stay per-lane: the
-// record carries outcomes, each lane prices them from its own design.)
+// agree on that slice of it. (The program and its compiled stream are
+// shared across the whole call. Latencies stay per-lane: the record
+// carries outcomes, each lane prices them from its own design.)
 type batchKey struct {
 	l1           cache.Config
 	mlc          cache.Config
@@ -308,85 +317,55 @@ func keyOf(cfg *Config) batchKey {
 	}
 }
 
-// soloOnly reports whether a lane must take the solo Run path: observer
-// attachments (tracer, metrics, audit) and the naive-walk oracle are
-// defined in terms of a single run's event stream and walker, so they
-// are never batched.
-func soloOnly(cfg *Config) bool {
-	return cfg.Tracer != nil || cfg.Metrics || cfg.Audit || cfg.naiveWalk
-}
-
 // RunBatch executes one program under each configuration and returns the
-// measurements in input order. Each lane's Result is byte-identical to
-// what Run(p, cfgs[i]) returns; the batch exists purely to amortize the
-// shared front-end work (walking, L1 simulation, small-predictor
-// training, region-stream decode) across lanes, and to simulate the MLC
-// and large predictor once per distinct gating history rather than once
-// per lane.
+// measurements in input order. Lanes whose designs agree on the
+// front-end's shape (see batchKey) run as one group, and each lane's
+// Result is byte-identical to what Run(p, cfgs[i]) returns; the batch
+// exists purely to amortize the shared front-end work (walking, L1
+// simulation, small-predictor training, region-stream decode) across
+// lanes, and to simulate the MLC and large predictor once per distinct
+// gating history rather than once per lane.
 //
 // Every configuration needs its own Manager instance, exactly as with
-// separate Run calls — managers are stateful. Lanes that attach an
-// observer (Tracer, Metrics, Audit) fall back to a solo Run
-// transparently, as does a batch of one.
+// separate Run calls — managers are stateful. Each lane owns its
+// observers (Tracer, Metrics, Audit, Progress) and emits the same events
+// it would alone; lanes handed one shared Tracer value interleave their
+// events per region execution.
 func RunBatch(p *program.Program, cfgs []Config) ([]*Result, error) {
 	local := make([]Config, len(cfgs))
 	copy(local, cfgs)
 	for i := range local {
-		if local[i].Phase == (phase.Config{}) {
-			local[i].Phase = phase.DefaultConfig()
-		}
-		if err := local[i].Validate(); err != nil {
+		if err := local[i].prepare(); err != nil {
 			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
 		}
 	}
-	results := make([]*Result, len(local))
+	return runBatch(p, local)
+}
 
-	// Partition: solo-forced lanes run through Run; the rest group by
-	// front-end shape. Groups of one also take the solo path — the batch
-	// machinery has nothing to amortize there.
+// runBatch partitions prepared configurations by front-end shape and
+// drives each group in order of its first lane.
+func runBatch(p *program.Program, cfgs []Config) ([]*Result, error) {
+	results := make([]*Result, len(cfgs))
+	if len(cfgs) == 0 {
+		return results, nil
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	groups := make(map[batchKey][]int)
 	order := make([]batchKey, 0, 4)
-	var solo []int
-	for i := range local {
-		if soloOnly(&local[i]) {
-			solo = append(solo, i)
-			continue
-		}
-		k := keyOf(&local[i])
+	for i := range cfgs {
+		k := keyOf(&cfgs[i])
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
 		groups[k] = append(groups[k], i)
 	}
+	compiled := program.CompileAll(p)
 	for _, k := range order {
-		if len(groups[k]) == 1 {
-			solo = append(solo, groups[k][0])
-			delete(groups, k)
-		}
-	}
-
-	var compiled []program.CompiledRegion
-	if len(groups) > 0 {
-		if err := p.Validate(); err != nil {
+		if _, err := runGroup(p, k, compiled, cfgs, groups[k], results); err != nil {
 			return nil, err
 		}
-		compiled = program.CompileAll(p)
-	}
-	for _, k := range order {
-		lanes, ok := groups[k]
-		if !ok {
-			continue
-		}
-		if _, err := runGroup(p, k, compiled, local, lanes, results); err != nil {
-			return nil, err
-		}
-	}
-	for _, i := range solo {
-		r, err := Run(p, local[i])
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		results[i] = r
 	}
 	return results, nil
 }
@@ -397,8 +376,11 @@ func RunBatch(p *program.Program, cfgs []Config) ([]*Result, error) {
 // translation budget. It returns the front-end's node counts.
 func runGroup(p *program.Program, key batchKey, compiled []program.CompiledRegion, cfgs []Config, lanes []int, results []*Result) (stats nodeStats, err error) {
 	if ctx := groupContext(cfgs, lanes); ctx != nil {
-		_, sp := span.Start(ctx, "simbatch",
-			"bench="+p.Name, "lanes="+strconv.Itoa(len(lanes)))
+		name, attr := "simbatch", "lanes="+strconv.Itoa(len(lanes))
+		if len(lanes) == 1 {
+			name, attr = "sim", "translations="+strconv.FormatUint(cfgs[lanes[0]].MaxTranslations, 10)
+		}
+		_, sp := span.Start(ctx, name, "bench="+p.Name, attr)
 		defer func() { sp.EndErr(err) }()
 	}
 	fe, err := newFrontEnd(p, key, compiled)
@@ -409,7 +391,7 @@ func runGroup(p *program.Program, key batchKey, compiled []program.CompiledRegio
 	issue := make([]float64, len(lanes))
 	var maxT uint64
 	for j, i := range lanes {
-		s, err := newEngineWith(p, cfgs[i], nil, compiled)
+		s, err := newEngine(p, cfgs[i], compiled)
 		if err != nil {
 			return stats, fmt.Errorf("sim: batch lane %d: %w", i, err)
 		}
@@ -422,7 +404,7 @@ func runGroup(p *program.Program, key batchKey, compiled []program.CompiledRegio
 	}
 	// Every lane is on its starting nodes before any boots, so a
 	// boot-time gate starts from the empty root MLC and a boot-powered
-	// predictor from reset, exactly the solo state, and no lane gates a
+	// predictor from reset, as for a lane alone, and no lane gates a
 	// node in place that a later lane would start on.
 	for j, i := range lanes {
 		boot := cfgs[i].Manager.Boot()
@@ -432,14 +414,14 @@ func runGroup(p *program.Program, key batchKey, compiled []program.CompiledRegio
 	for fe.walker.Executed() < maxT {
 		rec := fe.record()
 		for j, s := range engines {
-			if s.laneExec >= s.cfg.MaxTranslations {
+			if s.executed >= s.cfg.MaxTranslations {
 				continue
 			}
-			s.laneExec++
+			s.executed++
 			s.mlc.startExec()
 			s.bpu.startExec(rec)
 			s.executeRegion(rec.ri, issue[j])
-			if s.laneExec == s.cfg.MaxTranslations {
+			if s.executed == s.cfg.MaxTranslations {
 				s.leave()
 			}
 		}
@@ -450,7 +432,7 @@ func runGroup(p *program.Program, key batchKey, compiled []program.CompiledRegio
 	return fe.stats, nil
 }
 
-// join puts a batched lane on the front-end: its MLC on the root node
+// join puts a lane on the front-end: its MLC on the root node
 // and, when the design boots it powered, its large predictor on the node
 // powered on before the first execution.
 func (s *engine) join(fe *frontEnd) {
@@ -472,9 +454,8 @@ func (s *engine) leave() {
 	s.bpu.setLargeOn(false)
 }
 
-// groupContext picks the first lane context carrying a span, so a batched
-// group records one "simbatch" span where solo runs record per-run "sim"
-// spans.
+// groupContext picks the first lane context, so a group records one span
+// whatever its width.
 func groupContext(cfgs []Config, lanes []int) context.Context {
 	for _, i := range lanes {
 		if cfgs[i].Context != nil {

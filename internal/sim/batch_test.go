@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"powerchop/internal/arch"
+	"powerchop/internal/cache"
 	"powerchop/internal/core"
+	"powerchop/internal/isa"
 	"powerchop/internal/obs"
 	"powerchop/internal/program"
 	"powerchop/internal/pvt"
@@ -30,8 +34,8 @@ func batchManagers(t testing.TB) []func() core.Manager {
 	}
 }
 
-// requireIdentical fails the test when a batched lane's Result is not
-// byte-identical to the solo Run it must reproduce.
+// requireIdentical fails the test when a lane's Result in a wider group
+// is not byte-identical to the one-lane Run it must reproduce.
 func requireIdentical(t *testing.T, label string, batched, solo *Result) {
 	t.Helper()
 	if batched == nil {
@@ -47,7 +51,7 @@ func requireIdentical(t *testing.T, label string, batched, solo *Result) {
 
 // TestRunBatchMatchesSolo drives a mixed-manager batch — different gating
 // behaviour, different run budgets, sampling on, translation quality
-// tracked on the PowerChop lane — and pins every lane to its solo Run.
+// tracked on the PowerChop lane — and pins every lane to its one-lane Run.
 func TestRunBatchMatchesSolo(t *testing.T) {
 	p := vectorPhasedProgram(t)
 	mks := batchManagers(t)
@@ -77,9 +81,9 @@ func TestRunBatchMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestRunBatchLaneCounts sweeps the lane count — including the
-// single-lane batch, which must take the solo path and still agree — with
-// per-lane parameter perturbations so no two lanes behave identically.
+// TestRunBatchLaneCounts sweeps the lane count, from a one-lane batch up,
+// with per-lane parameter perturbations so no two lanes behave
+// identically.
 func TestRunBatchLaneCounts(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 16} {
 		t.Run(fmt.Sprintf("lanes=%d", n), func(t *testing.T) {
@@ -113,7 +117,7 @@ func TestRunBatchLaneCounts(t *testing.T) {
 
 // TestRunBatchMixedDesigns puts server and mobile design points in one
 // call: their L1/small-predictor shapes differ, so they must land in
-// separate front-end groups and still each match solo.
+// separate front-end groups and still each match a one-lane Run.
 func TestRunBatchMixedDesigns(t *testing.T) {
 	mkCfg := func(d arch.Design) Config {
 		return Config{
@@ -138,61 +142,83 @@ func TestRunBatchMixedDesigns(t *testing.T) {
 	}
 }
 
-// TestRunBatchObserversForceSolo pins the documented fallback: lanes with
-// a tracer, metrics, audit or telemetry attachment run solo inside
-// RunBatch, producing the identical Result — and the identical event
-// stream — as a direct Run with the same observers.
-func TestRunBatchObserversForceSolo(t *testing.T) {
-	p := vectorPhasedProgram(t)
-	plain := func() Config {
-		return Config{
+// TestRunBatchObservedLanes puts observed lanes in one group with plain
+// ones. Each lane owns its tracer, metrics collector and auditor, so its
+// Result JSON — snapshot and trail included — and its trace bytes must
+// equal a one-lane Run with the same observers.
+func TestRunBatchObservedLanes(t *testing.T) {
+	mks := batchManagers(t)
+	type lane struct {
+		mk                    func() core.Manager
+		trace, metrics, audit bool
+	}
+	lanes := []lane{
+		{mk: mks[0]},
+		{mk: mks[0], trace: true},
+		{mk: mks[1], metrics: true},
+		{mk: mks[0], audit: true},
+		{mk: mks[3], trace: true, metrics: true, audit: true},
+	}
+	cfgOf := func(l lane) (Config, *obs.JSONL, *bytes.Buffer) {
+		cfg := Config{
 			Design:          arch.Server(),
-			Manager:         core.MustPowerChop(core.DefaultConfig()),
+			Manager:         l.mk(),
 			Phase:           smallPhaseConfig(),
 			MaxTranslations: 3000,
+			SampleInterval:  1500,
+			Metrics:         l.metrics,
+			Audit:           l.audit,
 		}
+		var buf bytes.Buffer
+		var jsonl *obs.JSONL
+		if l.trace {
+			jsonl = obs.NewJSONL(&buf)
+			cfg.Tracer = jsonl
+		}
+		return cfg, jsonl, &buf
 	}
-
-	ring := obs.NewRing(1 << 16)
-	traced := plain()
-	traced.Tracer = ring
-	metered := plain()
-	metered.Metrics = true
-	audited := plain()
-	audited.Audit = true
-
-	batched, err := RunBatch(p, []Config{plain(), traced, metered, audited, plain()})
+	// encode returns a finished lane's Result JSON and trace bytes.
+	encode := func(r *Result, jsonl *obs.JSONL, buf *bytes.Buffer) (string, string) {
+		if jsonl != nil {
+			if err := jsonl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), buf.String()
+	}
+	cfgs := make([]Config, len(lanes))
+	jsonls := make([]*obs.JSONL, len(lanes))
+	bufs := make([]*bytes.Buffer, len(lanes))
+	for i, l := range lanes {
+		cfgs[i], jsonls[i], bufs[i] = cfgOf(l)
+	}
+	batched, err := RunBatch(vectorPhasedProgram(t), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	soloRing := obs.NewRing(1 << 16)
-	soloTraced := plain()
-	soloTraced.Tracer = soloRing
-	soloT := MustRun(vectorPhasedProgram(t), soloTraced)
-	requireIdentical(t, "traced lane", batched[1], soloT)
-	batchEvents, soloEvents := ring.Events(), soloRing.Events()
-	if len(batchEvents) != len(soloEvents) {
-		t.Fatalf("event counts diverge: batched %d, solo %d", len(batchEvents), len(soloEvents))
-	}
-	for i := range batchEvents {
-		if batchEvents[i] != soloEvents[i] {
-			t.Fatalf("event %d diverges:\nbatched %+v\nsolo    %+v", i, batchEvents[i], soloEvents[i])
+	for i, l := range lanes {
+		gotRes, gotTrace := encode(batched[i], jsonls[i], bufs[i])
+		cfg, jsonl, buf := cfgOf(l)
+		alone, err := Run(vectorPhasedProgram(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes, wantTrace := encode(alone, jsonl, buf)
+		if gotRes != wantRes {
+			t.Errorf("lane %d: Result differs from its one-lane run:\ngroup %s\nalone %s", i, gotRes, wantRes)
+		}
+		if gotTrace != wantTrace {
+			t.Errorf("lane %d: trace differs from its one-lane run (%d vs %d bytes)", i, len(gotTrace), len(wantTrace))
+		}
+		if l.trace && gotTrace == "" || l.metrics != (batched[i].Metrics != nil) || l.audit != (batched[i].Audit != nil) {
+			t.Errorf("lane %d: observers %+v, got trace %d bytes, metrics %v, audit %v",
+				i, l, len(gotTrace), batched[i].Metrics != nil, batched[i].Audit != nil)
 		}
 	}
-
-	soloM := MustRun(vectorPhasedProgram(t), func() Config { c := plain(); c.Metrics = true; return c }())
-	if batched[2].Metrics == nil || soloM.Metrics == nil {
-		t.Fatal("metrics snapshot missing")
-	}
-	soloA := MustRun(vectorPhasedProgram(t), func() Config { c := plain(); c.Audit = true; return c }())
-	if batched[3].Audit == nil || soloA.Audit == nil {
-		t.Fatal("audit trail missing")
-	}
-
-	soloPlain := MustRun(vectorPhasedProgram(t), plain())
-	requireIdentical(t, "plain lane 0", batched[0], soloPlain)
-	requireIdentical(t, "plain lane 4", batched[4], soloPlain)
 }
 
 // TestRunBatchValidation checks the error paths: an invalid lane rejects
@@ -274,7 +300,7 @@ func (m *scripted) WindowEnd(core.WindowReport) core.Directive {
 // TestRunBatchNodes pins the front-end's node lifecycle through its node
 // counters: which lanes share an MLC or large-predictor node, when a node
 // is gated in place or cloned, and when one stops being driven. Every
-// lane must still equal its solo run.
+// lane must still equal its one-lane run.
 func TestRunBatchNodes(t *testing.T) {
 	const n = 3000
 	full, half, one := pvt.FullOn, pvt.FullOn, pvt.FullOn
@@ -408,5 +434,66 @@ func TestRunBatchNodes(t *testing.T) {
 				requireIdentical(t, fmt.Sprintf("lane %d", i), results[i], MustRun(vectorPhasedProgram(t), mk()))
 			}
 		})
+	}
+}
+
+// TestFrontEndWritesDirtyVictimFirst pins the order the front-end drives
+// the MLC in on an L1 miss: the dirty L1 victim is written into the MLC
+// before the miss looks the MLC up. Both levels are one 2-way set, and
+// each of four streams always touches one line (v, x, y, z), so the
+// hand-built body below fixes every L1 and MLC outcome. At op 6 the MLC
+// holds y and then z; writing the dirty v back first evicts y, so the
+// lookup misses where a lookup first would have hit, and at op 7 v hits
+// in the MLC it was written back to.
+func TestFrontEndWritesDirtyVictimFirst(t *testing.T) {
+	const v, x, y, z = 0, 1, 2, 3
+	line := program.MemStream{WorkingSet: 64, Stride: 64}
+	b := program.NewBuilder("victim-order", "TEST", 1)
+	ri := b.Region(program.RegionSpec{
+		Name:    "r",
+		Insns:   7,
+		Mix:     isa.Mix{LoadFrac: 1},
+		Streams: []program.MemStream{line, line, line, line},
+	})
+	b.Phase("p", 1000, map[int]float64{ri: 1})
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := p.Regions[ri]
+	ops := []struct {
+		kind isa.Kind
+		sel  uint8
+		want uint8 // the root MLC node's outcome bits
+	}{
+		{isa.Store, v, memL1Miss},            // L1 {v*}, MLC {v}
+		{isa.Load, x, memL1Miss},             // L1 {v*, x}, MLC {v, x}
+		{isa.Store, v, 0},                    // L1 hit: x is now the L1's LRU line
+		{isa.Load, y, memL1Miss},             // evicts clean x from the L1, v from the MLC
+		{isa.Store, v, 0},                    // L1 hit: y is now the L1's LRU line
+		{isa.Load, z, memL1Miss},             // evicts clean y from the L1, x from the MLC: MLC {y, z}
+		{isa.Load, y, memL1Miss},             // evicts dirty v: v's writeback evicts y before y's lookup
+		{isa.Load, v, memL1Miss | memMLCHit}, // evicts clean z from the L1; v hits in the MLC
+	}
+	r.Body = r.Body[:0]
+	for i, op := range ops {
+		r.Body = append(r.Body, isa.Inst{PC: r.HeadPC + uint32(4*i), Kind: op.kind, Sel: op.sel})
+	}
+	set := cache.Config{SizeBytes: 128, Ways: 2, LineBytes: 64}
+	bp := arch.Server().BPU
+	fe, err := newFrontEnd(p, batchKey{l1: set, mlc: set, smallEntries: bp.SmallEntries, smallBTB: bp.SmallBTB, large: bp.Large}, program.CompileAll(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fe.record()
+	for i, op := range ops {
+		if got := fe.mlcs[0].out[i]; got != op.want {
+			t.Errorf("op %d: outcome bits %02b, want %02b", i, got, op.want)
+		}
+	}
+	for _, m := range rec.misses {
+		if m.wb != (m.at == 6) {
+			t.Errorf("L1 miss at op %d: writeback %v, want one at op 6 only", m.at, m.wb)
+		}
 	}
 }

@@ -24,7 +24,6 @@ type engine struct {
 	design arch.Design
 	prog   *program.Program
 
-	walker  *program.Walker
 	btSys   *bt.System
 	htb     *phase.HTB
 	acct    *power.Accountant
@@ -85,29 +84,17 @@ type engine struct {
 	shardInsns uint64
 	shards     VectorShards
 
-	// Batched-lane state (batch.go). A lane engine has a nil walker: the
-	// batch front-end fe walks the program once and owns the MLC and
-	// large-predictor nodes the lane's units read their outcomes from.
-	// laneExec mirrors walker.Executed() so the run-budget and progress
-	// arithmetic is identical on both paths.
+	// Lane state (batch.go): the group's front-end walks the program and
+	// owns the MLC and large-predictor nodes the units read their
+	// outcomes from; executed counts the lane's region executions.
 	fe       *frontEnd
-	laneExec uint64
+	executed uint64
 }
 
-// newEngine assembles the engine and its managed units for a validated
-// configuration, with a private walker and freshly compiled regions.
-func newEngine(p *program.Program, cfg Config) (*engine, error) {
-	walker, err := program.NewWalker(p)
-	if err != nil {
-		return nil, err
-	}
-	return newEngineWith(p, cfg, walker, program.CompileAll(p))
-}
-
-// newEngineWith assembles the engine around an externally supplied walker
-// and compiled-region stream. Batched lanes pass a nil walker — the shared
-// front-end draws the dynamics — and share one immutable compiled slice.
-func newEngineWith(p *program.Program, cfg Config, walker *program.Walker, compiled []program.CompiledRegion) (*engine, error) {
+// newEngine assembles a lane's engine and its managed units for a
+// validated configuration around the group's compiled-region stream,
+// which every lane shares read-only.
+func newEngine(p *program.Program, cfg Config, compiled []program.CompiledRegion) (*engine, error) {
 	d := cfg.Design
 	btSys, err := bt.New(bt.Config{
 		HotThreshold:           d.HotThreshold,
@@ -122,7 +109,6 @@ func newEngineWith(p *program.Program, cfg Config, walker *program.Walker, compi
 		cfg:      cfg,
 		design:   d,
 		prog:     p,
-		walker:   walker,
 		btSys:    btSys,
 		htb:      phase.NewHTB(cfg.Phase),
 		acct:     power.NewAccountant(d.ClockHz),
@@ -244,28 +230,10 @@ func (s *engine) stallFor(cycles float64) {
 	s.gateStalls += cycles
 }
 
-// run is the main simulation loop: walk region executions through the BT
-// system, dispatch each instruction event to the issue pipeline and the
-// owning unit, and close windows at HTB boundaries. The default path
-// executes precompiled region bodies; the naive per-instruction walk is
-// kept behind Config.naiveWalk as the equivalence oracle.
-func (s *engine) run() {
-	if s.cfg.naiveWalk {
-		s.runNaive()
-		return
-	}
-	issueCycle := 1 / s.design.IssueWidth
-	for s.walker.Executed() < s.cfg.MaxTranslations {
-		ri := s.walker.Next()
-		s.executeRegion(ri, issueCycle)
-	}
-}
-
 // executeRegion runs one execution of region ri through the BT system,
-// the compiled op stream and the window machinery. It is the per-execution
-// kernel shared by the solo run loop and the batched lane driver; on the
-// batched path the units price each op from the front-end's nodes instead
-// of simulating it (see unit.go).
+// the compiled op stream and the window machinery. The units price each
+// branch and memory op from the front-end's outcomes for the execution
+// (see unit.go).
 func (s *engine) executeRegion(ri int, issueCycle float64) {
 	tr, extra := s.btSys.Execute(ri)
 	s.cycles += extra
@@ -286,9 +254,9 @@ func (s *engine) executeRegion(ri int, issueCycle float64) {
 		case isa.Vector:
 			s.vpu.execVector(issueCycle)
 		case isa.Branch:
-			s.bpu.execBranch(ri, op.Inst, issueCycle)
+			s.bpu.replayBranch(issueCycle)
 		default: // isa.Load, isa.Store
-			s.mlc.execMem(ri, op.Inst, issueCycle)
+			s.mlc.replayMem()
 		}
 		s.postInst()
 	}
@@ -304,28 +272,21 @@ func (s *engine) executeRegion(ri int, issueCycle float64) {
 	}
 }
 
-// executed returns the number of region executions performed so far: the
-// walker's count on the solo path, the lane's own on the batched path.
-func (s *engine) executed() uint64 {
-	if s.walker != nil {
-		return s.walker.Executed()
-	}
-	return s.laneExec
-}
-
 // execScalarRun executes n consecutive scalar instructions. All
 // exact-integer bookkeeping is batched per stretch, with shard and
 // sample boundaries hoisted out of the loop as arithmetic on the run
 // length, so the per-instruction work reduces to the cycle accumulation.
 // That accumulation must stay one issue slot at a time: adding
 // n*issueCycle in one step would round differently, and results are
-// required to be byte-identical to the naive walk.
+// required to be byte-identical to the per-instruction walk that
+// compile_test.go keeps as the oracle.
 func (s *engine) execScalarRun(n uint64, issueCycle float64) {
 	sampling := s.cfg.SampleInterval > 0
 	for n > 0 {
-		// The boundary checks fire exactly when the naive walk's would:
-		// shardInsns stays below 1000 and guestInsns below sampleAt
-		// between instructions, so both deltas are positive and step >= 1.
+		// The boundary checks fire exactly when a per-instruction walk's
+		// would: shardInsns stays below 1000 and guestInsns below
+		// sampleAt between instructions, so both deltas are positive and
+		// step >= 1.
 		step := n
 		if until := 1000 - s.shardInsns; until < step {
 			step = until
@@ -355,51 +316,10 @@ func (s *engine) execScalarRun(n uint64, issueCycle float64) {
 	}
 }
 
-// runNaive is the original per-instruction walk over Region.Body. It is
-// the semantic reference for the compiled path: the two must produce
-// byte-identical results and event streams (see the equivalence tests).
-func (s *engine) runNaive() {
-	issueCycle := 1 / s.design.IssueWidth
-	for s.walker.Executed() < s.cfg.MaxTranslations {
-		ri := s.walker.Next()
-		tr, extra := s.btSys.Execute(ri)
-		s.cycles += extra
-		if s.tracer != nil {
-			s.traceInstall(ri)
-		}
-		region := s.walker.Region(ri)
-
-		for _, inst := range region.Body {
-			s.guestInsns++
-			s.winInsns++
-			s.shardInsns++
-			switch inst.Kind {
-			case isa.Scalar:
-				s.uops++
-				s.coreAccesses++
-				s.cycles += issueCycle
-			case isa.Vector:
-				s.vpu.execVector(issueCycle)
-			case isa.Branch:
-				s.bpu.execBranch(ri, inst, issueCycle)
-			case isa.Load, isa.Store:
-				s.mlc.execMem(ri, inst, issueCycle)
-			}
-			s.postInst()
-		}
-
-		if tr != nil {
-			if s.htb.Record(tr.ID, uint64(tr.Insns)) {
-				s.endWindow()
-				s.reportProgress(false)
-			}
-		}
-	}
-}
-
-// postInst runs the per-instruction boundary checks shared by both
-// walks: close the 1000-instruction shard, then take a due sample — in
-// that order, since both can trigger on the same instruction.
+// postInst runs the per-instruction boundary checks after a branch,
+// memory or vector op: close the 1000-instruction shard, then take a due
+// sample — in that order, since both can trigger on the same
+// instruction.
 func (s *engine) postInst() {
 	if s.shardInsns >= 1000 {
 		s.closeShard()
@@ -436,7 +356,7 @@ func (s *engine) reportProgress(done bool) {
 	s.cfg.Progress(Progress{
 		Cycle:           s.cycles,
 		GuestInsns:      s.guestInsns,
-		Translations:    s.executed(),
+		Translations:    s.executed,
 		MaxTranslations: s.cfg.MaxTranslations,
 		Windows:         s.htb.Windows(),
 		Done:            done,

@@ -11,9 +11,9 @@ import (
 	"powerchop/internal/workload"
 )
 
-// BenchmarkLaneGroup measures what the batched engine costs against a
-// solo Run: bzip2 on the server design, 50k region executions. Under the
-// full-power and min-power managers, "solo" is one Run and "lanes=1" and
+// BenchmarkLaneGroup measures what a lane group costs as it widens:
+// bzip2 on the server design, 50k region executions. Under the
+// full-power and min-power managers, "lanes=1" (what Run executes) and
 // "lanes=8" drive one and eight identical lanes through runGroup over a
 // shared front-end, compiling the program per op as RunBatch does.
 // Identical lanes share every MLC and predictor node, so "mixed/lanes=8"
@@ -56,13 +56,6 @@ func BenchmarkLaneGroup(b *testing.B) {
 		{"min-power", func() core.Manager { return core.MinPower() }},
 	}
 	for _, m := range managers {
-		b.Run(m.name+"/solo", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(p, cfgOf(m.mk())); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		for _, n := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/lanes=%d", m.name, n), func(b *testing.B) {
 				group(b, func(int) core.Manager { return m.mk() }, n)

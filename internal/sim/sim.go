@@ -12,19 +12,21 @@
 // penalties, MLC/memory latencies, emulation expansion, gating overheads —
 // which is the fidelity the paper's results depend on.
 //
-// Structurally the simulator is an engine (engine.go) orchestrating one
-// managedUnit component per gateable unit (unit.go): the engine owns the
-// clock, the issue pipeline and the window machinery (window.go), while
-// each unit owns its gating tracker, policy enactment, per-window and
-// whole-run counters, dynamic-access tallies and its slice of the Result.
-// Adding a fourth managed unit means writing one component, not editing
-// the engine loop.
+// Structurally every run is one lane of a batch group (batch.go): a
+// shared front-end walks the program once and simulates the caches and
+// predictors, and each lane's engine (engine.go) prices the instructions
+// from the front-end's outcomes. The engine orchestrates one managedUnit
+// component per gateable unit (unit.go): it owns the clock, the issue
+// pipeline and the window machinery (window.go), while each unit owns
+// its gating tracker, policy enactment, per-window and whole-run
+// counters, dynamic-access tallies and its slice of the Result. Adding a
+// fourth managed unit means writing one component, not editing the
+// engine loop.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"powerchop/internal/arch"
 	"powerchop/internal/bt"
@@ -32,7 +34,6 @@ import (
 	"powerchop/internal/core"
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/audit"
-	"powerchop/internal/obs/span"
 	"powerchop/internal/phase"
 	"powerchop/internal/power"
 	"powerchop/internal/program"
@@ -42,10 +43,11 @@ import (
 // Config parameterizes one simulation run.
 type Config struct {
 	// Context, when non-nil, carries request-scoped observability: if it
-	// holds a span (internal/obs/span), Run executes under a "sim" child
-	// span recording the run's wall-clock duration. The simulation itself
-	// never consults the context — runs are not cancellable mid-flight
-	// and their results never depend on it.
+	// holds a span (internal/obs/span), the run's lane group executes
+	// under a child span recording its wall-clock duration: "sim" for a
+	// group of one lane, "simbatch" for a wider one. The simulation
+	// itself never consults the context — runs are not cancellable
+	// mid-flight and their results never depend on it.
 	Context context.Context
 	// Design is the processor design point.
 	Design arch.Design
@@ -81,12 +83,6 @@ type Config struct {
 	// counters but charges no cycles, so a run with a Progress callback is
 	// bit-identical to one without.
 	Progress func(Progress)
-
-	// naiveWalk selects the original per-instruction walk over
-	// Region.Body instead of the compiled-region hot loop. The two are
-	// required to produce byte-identical results; the flag exists only so
-	// in-package tests can hold the naive walk up as the oracle.
-	naiveWalk bool
 }
 
 // Progress is a point-in-time view of a running simulation, delivered to
@@ -225,31 +221,26 @@ func (r *Result) MispredictRate() float64 {
 }
 
 // Run executes the program under the configuration and returns the
-// measurements.
-func Run(p *program.Program, cfg Config) (res *Result, err error) {
-	if cfg.Phase == (phase.Config{}) {
-		cfg.Phase = phase.DefaultConfig()
-	}
-	if err := cfg.Validate(); err != nil {
+// measurements. It is RunBatch with one lane: the lane's group walks the
+// program and drives its units exactly as a wider group drives each of
+// its lanes.
+func Run(p *program.Program, cfg Config) (*Result, error) {
+	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
-	if cfg.Context != nil {
-		// The span observes the run; it charges no simulated cycles.
-		_, sp := span.Start(cfg.Context, "sim",
-			"bench="+p.Name, "translations="+strconv.FormatUint(cfg.MaxTranslations, 10))
-		defer func() { sp.EndErr(err) }()
-	}
-	s, err := newEngine(p, cfg)
+	results, err := runBatch(p, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
+	return results[0], nil
+}
 
-	boot := cfg.Manager.Boot()
-	s.absorbDirective(boot)
-	s.applyPolicy(boot.Policy)
-
-	s.run()
-	return s.finish(), nil
+// prepare fills the default phase configuration and validates.
+func (c *Config) prepare() error {
+	if c.Phase == (phase.Config{}) {
+		c.Phase = phase.DefaultConfig()
+	}
+	return c.Validate()
 }
 
 // MustRun is a helper for tests, examples and benchmarks.

@@ -4,13 +4,10 @@ import (
 	"sort"
 
 	"powerchop/internal/arch"
-	"powerchop/internal/bpu"
 	"powerchop/internal/bt"
-	"powerchop/internal/cache"
 	"powerchop/internal/cde"
 	"powerchop/internal/core"
 	"powerchop/internal/gating"
-	"powerchop/internal/isa"
 	"powerchop/internal/power"
 	"powerchop/internal/pvt"
 	"powerchop/internal/vpu"
@@ -263,15 +260,14 @@ func (v *vpuUnit) timeoutVectorOp() {
 }
 
 // bpuUnit manages the branch prediction unit: the large tournament
-// predictor is gated to the always-on small local predictor. A solo run
-// owns its predictors (unit). A batched lane owns none: while its large
-// predictor is on, node is the front-end's predictor powered on when the
-// lane's was, and each branch's verdict is read from out, that node's
-// verdicts or the small predictor's for the current execution.
+// predictor is gated to the always-on small local predictor. A lane owns
+// neither predictor: while its large predictor is on, node is the
+// front-end's predictor powered on when the lane's was, and each branch's
+// verdict is read from out, that node's verdicts or the small
+// predictor's for the current execution.
 type bpuUnit struct {
-	e    *engine
-	unit *bpu.Unit
-	g    *gating.Unit
+	e *engine
+	g *gating.Unit
 
 	node    *bpuNode
 	out     []uint8
@@ -294,34 +290,21 @@ type bpuUnit struct {
 }
 
 func newBPUUnit(e *engine) *bpuUnit {
-	b := &bpuUnit{
+	return &bpuUnit{
 		e:       e,
 		g:       gating.NewUnit(arch.UnitBPU, 1),
 		penalty: [2]float64{e.design.MispredictPenalty, 0},
 	}
-	if e.walker != nil {
-		b.unit = bpu.NewUnit(e.design.BPU)
-	}
-	return b
 }
 
 // largeOn reports whether the large predictor is powered.
-func (b *bpuUnit) largeOn() bool {
-	if b.unit != nil {
-		return b.unit.LargeOn()
-	}
-	return b.node != nil
-}
+func (b *bpuUnit) largeOn() bool { return b.node != nil }
 
 // setLargeOn powers the large predictor on or off. Off loses its state;
-// a batched lane powering on joins the front-end's predictor node for
-// this execution boundary, which starts from reset.
+// powering on joins the front-end's predictor node for this execution
+// boundary, which starts from reset.
 func (b *bpuUnit) setLargeOn(on bool) {
-	if b.unit != nil {
-		b.unit.SetLargeOn(on)
-		return
-	}
-	if on == (b.node != nil) {
+	if on == b.largeOn() {
 		return
 	}
 	b.file()
@@ -333,7 +316,7 @@ func (b *bpuUnit) setLargeOn(on bool) {
 	}
 }
 
-// file adds a batched lane's branches since the last power change to the
+// file adds the lane's branches since the last power change to the
 // access tally of the level they ran at.
 func (b *bpuUnit) file() {
 	if b.node != nil {
@@ -344,8 +327,7 @@ func (b *bpuUnit) file() {
 	b.pending = 0
 }
 
-// startExec points a batched lane at its verdicts for the current
-// execution.
+// startExec points the lane at its verdicts for the current execution.
 func (b *bpuUnit) startExec(rec *execRecord) {
 	b.out, b.next = rec.small, 0
 	if b.node != nil {
@@ -425,36 +407,10 @@ func (b *bpuUnit) report(r *Result) {
 	r.Mispredicts = b.mispredicts
 }
 
-// execBranch models one guest branch through the active predictor.
-func (b *bpuUnit) execBranch(ri int, inst isa.Inst, issueCycle float64) {
-	if b.unit == nil {
-		b.replayBranch(issueCycle)
-		return
-	}
-	taken := b.e.walker.BranchOutcome(ri, inst.Sel)
-	correct := b.unit.Access(inst.PC, taken)
-	b.e.uops++
-	b.e.coreAccesses++
-	b.e.cycles += issueCycle
-	b.branches++
-	b.winBranches++
-	if b.unit.LargeOn() {
-		b.largeAcc++
-	} else {
-		b.smallAcc++
-	}
-	if !correct {
-		b.mispredicts++
-		b.winMispred++
-		b.e.cycles += b.e.design.MispredictPenalty
-	}
-}
-
-// replayBranch prices one branch of a batched lane from its verdict, with
-// no predictor access and no branch on the outcome: the front-end's
-// predictors see the same (PC, outcome) stream a solo run's would, so
-// the verdict is the solo one. The mispredict penalty is added as a
-// separate step, as execBranch adds it; adding 0 leaves the clock as is.
+// replayBranch prices one branch from its verdict, with no predictor
+// access and no branch on the outcome. The mispredict penalty is added
+// after the issue slot, as a separate step; adding 0 leaves the clock as
+// is.
 func (b *bpuUnit) replayBranch(issueCycle float64) {
 	v := b.out[b.next] & 1
 	b.next++
@@ -471,14 +427,13 @@ func (b *bpuUnit) replayBranch(issueCycle float64) {
 }
 
 // mlcUnit manages the middle-level cache: three-state way gating with
-// dirty-line writeback on downsizing. A solo run owns its hierarchy. A
-// batched lane owns no cache: node is the front-end's MLC for the lane's
-// gating history, and each memory op's outcome is read from out, that
-// node's outcomes for the current execution.
+// dirty-line writeback on downsizing. A lane owns no cache: node is the
+// front-end's MLC for the lane's gating history, and each memory op's
+// outcome is read from out, that node's outcomes for the current
+// execution.
 type mlcUnit struct {
-	e    *engine
-	hier *cache.Hierarchy
-	g    *gating.Unit
+	e *engine
+	g *gating.Unit
 
 	memOps     uint64
 	mlcHits    uint64
@@ -506,18 +461,13 @@ type fracCount struct {
 	n    uint64
 }
 
-// newMLCUnit builds the unit. A solo run owns its hierarchy from the
-// start; a batched lane (nil walker) builds none and is put on the
+// newMLCUnit builds the unit with its cost table; the lane is put on the
 // front-end's root MLC node when it joins the group.
 func newMLCUnit(e *engine) *mlcUnit {
 	m := &mlcUnit{
 		e:         e,
 		g:         gating.NewUnit(arch.UnitMLC, 1),
 		accByFrac: make([]fracCount, 0, 4),
-	}
-	if e.walker != nil {
-		m.hier = cache.NewHierarchy(e.design.Mem)
-		return m
 	}
 	issue := 1 / e.design.IssueWidth
 	m.cost[0] = issue
@@ -527,12 +477,7 @@ func newMLCUnit(e *engine) *mlcUnit {
 }
 
 // activeWays is the MLC's powered way count.
-func (m *mlcUnit) activeWays() int {
-	if m.hier != nil {
-		return m.hier.MLC().ActiveWays()
-	}
-	return m.node.c.ActiveWays()
-}
+func (m *mlcUnit) activeWays() int { return m.node.c.ActiveWays() }
 
 // addAccesses records n MLC accesses at the given power fraction.
 func (m *mlcUnit) addAccesses(frac float64, n uint64) {
@@ -545,8 +490,8 @@ func (m *mlcUnit) addAccesses(frac float64, n uint64) {
 	m.accByFrac = append(m.accByFrac, fracCount{frac: frac, n: n})
 }
 
-// file adds a batched lane's accesses since the last power change to the
-// tally of the fraction they ran at.
+// file adds the lane's accesses since the last power change to the tally
+// of the fraction they ran at.
 func (m *mlcUnit) file() {
 	if m.pending > 0 {
 		m.addAccesses(m.g.PowerFrac(), m.pending)
@@ -554,7 +499,7 @@ func (m *mlcUnit) file() {
 	}
 }
 
-// startExec points a batched lane at its node's outcomes for the current
+// startExec points the lane at its node's outcomes for the current
 // execution.
 func (m *mlcUnit) startExec() {
 	m.out, m.next = m.node.out, 0
@@ -568,13 +513,9 @@ func (m *mlcUnit) enact(policy pvt.Policy) {
 	if wantWays == m.activeWays() {
 		return
 	}
+	m.file()
 	var dirty int
-	if m.hier != nil {
-		dirty = m.hier.GateMLC(wantWays)
-	} else {
-		m.file()
-		m.node, dirty = m.e.fe.gateMLC(m.node, wantWays)
-	}
+	m.node, dirty = m.e.fe.gateMLC(m.node, wantWays)
 	stall := m.e.design.GateStallMLC + float64(dirty)*m.e.design.WritebackCyclesPerLine
 	m.e.stallFor(stall)
 	m.e.chargeSwitch(m.g, policy.MLC.PowerFrac(totalWays), m.e.cycles, stall)
@@ -627,33 +568,10 @@ func (m *mlcUnit) report(r *Result) {
 	r.MLCAccesses = m.accesses
 }
 
-// execMem models one guest load or store through the cache hierarchy.
-func (m *mlcUnit) execMem(ri int, inst isa.Inst, issueCycle float64) {
-	if m.hier == nil {
-		m.replayMem()
-		return
-	}
-	addr := m.e.walker.Address(ri, inst.Sel)
-	res := m.hier.Access(addr, inst.Kind == isa.Store)
-	m.e.uops++
-	m.e.coreAccesses++
-	m.e.cycles += issueCycle + res.StallCycles
-	m.memOps++
-	if res.MLCAccessed {
-		m.addAccesses(m.g.PowerFrac(), 1)
-	}
-	if res.MLCHit {
-		m.mlcHits++
-		m.winL2Hits++
-		m.intMLCHits++
-	}
-}
-
-// replayMem prices one memory op of a batched lane from its node's
-// outcome, with no cache access and no branch on the outcome: the issue
-// slot and stall come from the lane's cost table in the one addition
-// execMem makes, the MLC access joins the pending tally and a hit counts
-// one in each hit counter.
+// replayMem prices one memory op from its node's outcome, with no cache
+// access and no branch on the outcome: the issue slot and stall come
+// from the lane's cost table in one addition, the MLC access joins the
+// pending tally and a hit counts one in each hit counter.
 func (m *mlcUnit) replayMem() {
 	o := m.out[m.next]
 	m.next++

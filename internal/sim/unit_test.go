@@ -116,3 +116,37 @@ func TestTimeoutBaselinePinned(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayMemPricesOutcomes pins what a memory op costs a lane for each
+// outcome its MLC node records: an L1 hit takes only its issue slot and
+// never reaches the MLC, an L1 miss that hits the MLC stalls MLCLatency
+// and one that misses stalls MemLatency, and both count an MLC access.
+func TestReplayMemPricesOutcomes(t *testing.T) {
+	p := scalarOnlyProgram(t)
+	d := arch.Server()
+	s, err := newEngine(p, Config{Design: d, Manager: core.AlwaysOn(), Phase: smallPhaseConfig(), MaxTranslations: 1}, program.CompileAll(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := 1 / d.IssueWidth
+	m := s.mlc
+	m.out, m.next = []uint8{0, memL1Miss | memMLCHit, memL1Miss}, 0
+	for i, tc := range []struct {
+		stall         float64
+		hits, pending uint64
+	}{
+		{0, 0, 0},
+		{d.Mem.MLCLatency, 1, 1},
+		{d.Mem.MemLatency, 1, 2},
+	} {
+		before := s.cycles
+		m.replayMem()
+		if got := s.cycles - before; got != issue+tc.stall {
+			t.Errorf("op %d: cost %v cycles, want %v", i, got, issue+tc.stall)
+		}
+		if m.mlcHits != tc.hits || m.pending != tc.pending || m.memOps != uint64(i+1) {
+			t.Errorf("op %d: hits %d, MLC accesses %d, memory ops %d; want %d, %d, %d",
+				i, m.mlcHits, m.pending, m.memOps, tc.hits, tc.pending, i+1)
+		}
+	}
+}

@@ -144,11 +144,11 @@ type Options struct {
 	Parallelism int
 	// Batch caps how many lanes one batched simulation group
 	// (sim.RunBatch) drives from a single trace walk: 0 selects the
-	// default cap of 16, 1 gives every lane a simulation of its own,
-	// larger values set the cap. Batching is a pure wall-clock
+	// default cap of 16, 1 gives every lane a one-lane group of its
+	// own, larger values set the cap. Batching is a pure wall-clock
 	// optimization — RunBatch, Compare and Tune produce byte-identical
 	// Reports at any setting — so the only reasons to change it are
-	// memory (each lane holds its own MLC copy once gated) and A/B
+	// memory (a group holds one MLC per distinct gating history) and A/B
 	// timing.
 	Batch int
 	// Cache, when non-nil, is a persistent content-addressed result

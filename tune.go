@@ -241,8 +241,8 @@ func markPareto(points []TunePoint) []TunePoint {
 // above one, the groups run concurrently. Batching is a pure wall-clock
 // optimization: with Options.Cache (or CacheDir) set the sweep fills
 // and reuses exactly the same persistent entries as Run and Compare,
-// and every point reconciles byte-for-byte with a solo Run at the same
-// parameters.
+// and every point reconciles byte-for-byte with a Run at the same
+// parameters, which simulates it as a group of one lane.
 func Tune(opts TuneOptions) (*TuneResult, error) {
 	return TuneContext(context.Background(), opts)
 }
