@@ -8,9 +8,10 @@ package policy_test
 //
 // Regenerate after an intended change of results with
 //
-//	go test ./internal/policy -run '^TestGoldenCorpus$' -update
+//	go test ./internal/policy -run '^TestGoldenCorpus$' -update -v
 //
-// which rewrites testdata/golden.txt and prints the entries that moved.
+// which rewrites testdata/golden.txt and prints the entries that moved
+// (go test shows a passing package's output only with -v).
 // A moved entry must come with a bump of rescache.Version, the
 // generation that makes older cache entries read as stale; the header
 // line records the generation the corpus was made at.
