@@ -48,42 +48,26 @@ import (
 // for every registered policy; see batch_test.go, the policy conformance
 // suite and the golden corpus in internal/policy).
 
-// Memory-op outcome bits. The record carries each memory op's L1 outcome
-// and each MLC node adds its own hit bit, so one byte of a node's out
-// slice is everything a lane needs to price the op.
-const (
-	memL1Miss = 1 << 0 // the L1 missed, so the op accessed the MLC
-	memMLCHit = 1 << 1 // the access hit in the node's MLC
-)
-
 // execRecord carries one region execution's lane-independent dynamics
 // from the walker and L1 pass to the nodes and lanes. The slices are
 // reused across executions.
 type execRecord struct {
 	ri     int
-	pcs    []uint32 // per branch op: PC
-	taken  []bool   // per branch op: outcome
-	small  []uint8  // per branch op: 1 when the small predictor was right
-	mem    []uint8  // per memory op: memL1Miss or 0
-	misses []l1Miss // per L1 miss, in op order
-}
-
-// l1Miss is one memory op the L1 passed to the MLC: the dirty victim's
-// writeback into the MLC (when wb) and then the miss lookup, in that
-// order.
-type l1Miss struct {
-	at     int // index among the execution's memory ops
-	wb     bool
-	victim uint64
-	addr   uint64
+	pcs    []uint32     // per branch op: PC
+	taken  []bool       // per branch op: outcome
+	small  []uint8      // per branch op: 1 when the small predictor was right
+	mem    []uint8      // per memory op: cache.L1Miss or 0
+	misses []cache.Miss // per L1 miss, in op order
 }
 
 // mlcNode is one simulated MLC for one distinct gating history, with the
 // outcome of each memory op of the current execution and the number of
-// lanes whose MLC it is.
+// lanes whose MLC it is. The record carries each op's L1 outcome and the
+// node adds its own hit bit, so one byte of out is everything a lane
+// needs to price the op.
 type mlcNode struct {
 	c     *cache.Cache
-	out   []uint8 // per memory op: memL1Miss | memMLCHit
+	out   []uint8 // per memory op: cache.L1Miss | cache.MLCHit
 	lanes int
 }
 
@@ -175,8 +159,8 @@ func (f *frontEnd) record() *execRecord {
 				r.mem = append(r.mem, 0)
 				continue
 			}
-			r.misses = append(r.misses, l1Miss{at: len(r.mem), wb: wb, victim: victim, addr: addr})
-			r.mem = append(r.mem, memL1Miss)
+			r.misses = append(r.misses, cache.Miss{At: len(r.mem), WB: wb, Victim: victim, Addr: addr})
+			r.mem = append(r.mem, cache.L1Miss)
 		}
 	}
 	clear(f.fresh)
@@ -191,15 +175,7 @@ func (f *frontEnd) recordMLC() {
 	r := &f.rec
 	for _, n := range f.mlcs {
 		n.out = append(n.out[:0], r.mem...)
-		for i := range r.misses {
-			m := &r.misses[i]
-			if m.wb {
-				n.c.Access(m.victim, true)
-			}
-			if hit, _, _ := n.c.Access(m.addr, false); hit {
-				n.out[m.at] |= memMLCHit
-			}
-		}
+		n.c.ServeMisses(r.misses, n.out)
 	}
 	f.stats.mlcDriven += uint64(len(f.mlcs))
 }

@@ -466,14 +466,14 @@ func TestFrontEndWritesDirtyVictimFirst(t *testing.T) {
 		sel  uint8
 		want uint8 // the root MLC node's outcome bits
 	}{
-		{isa.Store, v, memL1Miss},            // L1 {v*}, MLC {v}
-		{isa.Load, x, memL1Miss},             // L1 {v*, x}, MLC {v, x}
-		{isa.Store, v, 0},                    // L1 hit: x is now the L1's LRU line
-		{isa.Load, y, memL1Miss},             // evicts clean x from the L1, v from the MLC
-		{isa.Store, v, 0},                    // L1 hit: y is now the L1's LRU line
-		{isa.Load, z, memL1Miss},             // evicts clean y from the L1, x from the MLC: MLC {y, z}
-		{isa.Load, y, memL1Miss},             // evicts dirty v: v's writeback evicts y before y's lookup
-		{isa.Load, v, memL1Miss | memMLCHit}, // evicts clean z from the L1; v hits in the MLC
+		{isa.Store, v, cache.L1Miss},               // L1 {v*}, MLC {v}
+		{isa.Load, x, cache.L1Miss},                // L1 {v*, x}, MLC {v, x}
+		{isa.Store, v, 0},                          // L1 hit: x is now the L1's LRU line
+		{isa.Load, y, cache.L1Miss},                // evicts clean x from the L1, v from the MLC
+		{isa.Store, v, 0},                          // L1 hit: y is now the L1's LRU line
+		{isa.Load, z, cache.L1Miss},                // evicts clean y from the L1, x from the MLC: MLC {y, z}
+		{isa.Load, y, cache.L1Miss},                // evicts dirty v: v's writeback evicts y before y's lookup
+		{isa.Load, v, cache.L1Miss | cache.MLCHit}, // evicts clean z from the L1; v hits in the MLC
 	}
 	r.Body = r.Body[:0]
 	for i, op := range ops {
@@ -492,8 +492,8 @@ func TestFrontEndWritesDirtyVictimFirst(t *testing.T) {
 		}
 	}
 	for _, m := range rec.misses {
-		if m.wb != (m.at == 6) {
-			t.Errorf("L1 miss at op %d: writeback %v, want one at op 6 only", m.at, m.wb)
+		if m.WB != (m.At == 6) {
+			t.Errorf("L1 miss at op %d: writeback %v, want one at op 6 only", m.At, m.WB)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"powerchop/internal/arch"
 	"powerchop/internal/bt"
+	"powerchop/internal/cache"
 	"powerchop/internal/cde"
 	"powerchop/internal/core"
 	"powerchop/internal/gating"
@@ -451,7 +452,7 @@ type mlcUnit struct {
 	node    *mlcNode
 	out     []uint8
 	next    int
-	cost    [4]float64 // issue slot + stall per outcome (memL1Miss | memMLCHit)
+	cost    [4]float64 // issue slot + stall per outcome (cache.L1Miss | cache.MLCHit)
 	pending uint64     // lane MLC accesses since the last power change
 }
 
@@ -470,9 +471,9 @@ func newMLCUnit(e *engine) *mlcUnit {
 		accByFrac: make([]fracCount, 0, 4),
 	}
 	issue := 1 / e.design.IssueWidth
-	m.cost[0] = issue
-	m.cost[memL1Miss] = issue + e.design.Mem.MemLatency
-	m.cost[memL1Miss|memMLCHit] = issue + e.design.Mem.MLCLatency
+	for o := range m.cost {
+		m.cost[o] = issue + e.design.Mem.Stall(uint8(o))
+	}
 	return m
 }
 
@@ -579,7 +580,7 @@ func (m *mlcUnit) replayMem() {
 	m.e.coreAccesses++
 	m.e.cycles += m.cost[o&3]
 	m.memOps++
-	m.pending += uint64(o & memL1Miss)
+	m.pending += uint64(o & cache.L1Miss)
 	hit := uint64(o >> 1 & 1)
 	m.mlcHits += hit
 	m.winL2Hits += hit

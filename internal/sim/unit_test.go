@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"powerchop/internal/arch"
+	"powerchop/internal/cache"
 	"powerchop/internal/core"
 	"powerchop/internal/isa"
 	"powerchop/internal/program"
@@ -130,7 +131,7 @@ func TestReplayMemPricesOutcomes(t *testing.T) {
 	}
 	issue := 1 / d.IssueWidth
 	m := s.mlc
-	m.out, m.next = []uint8{0, memL1Miss | memMLCHit, memL1Miss}, 0
+	m.out, m.next = []uint8{0, cache.L1Miss | cache.MLCHit, cache.L1Miss}, 0
 	for i, tc := range []struct {
 		stall         float64
 		hits, pending uint64
