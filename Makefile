@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race check bench bench-overhead bench-json profile clean
+.PHONY: build vet lint test race check bench bench-overhead profile clean
 
 build:
 	$(GO) build ./...
@@ -32,22 +32,17 @@ bench:
 # Observer overhead only: every tracer, span, audit and telemetry case
 # against one shared baseline.
 bench-overhead:
-	$(GO) test -run '^$$' -bench BenchmarkObserverOverhead -benchtime 5x -benchmem
+	$(GO) test -run '^$$' -bench BenchmarkObserverOverhead -benchtime 5x -benchmem ./internal/sim
 
-# One quick pass over every benchmark, recorded as BENCH_<stamp>.json —
-# the perf-trajectory artifact CI uploads (non-blocking).
-bench-json:
-	$(GO) run ./cmd/benchjson -benchtime 1x
-
-# CPU and heap profiles of the simulator hot loop (the compiled-region
-# execution path). See DESIGN.md "Hot path & result cache" for how to
-# read them; start with:
+# CPU and heap profiles of the simulator hot loop: one full-power run
+# of bzip2 as a one-lane group, the path every simulation takes. See
+# DESIGN.md "Hot path & result cache" for how to read them; start with:
 #   go tool pprof -top cpu.out
 #   go tool pprof -list 'Cache.*Access' cpu.out
 profile:
-	$(GO) test -run '^$$' -bench BenchmarkRunCompiled -benchtime 20x \
-		-cpuprofile cpu.out -memprofile mem.out -o powerchop.test .
-	@echo "profiles written: cpu.out mem.out (pair with binary powerchop.test)"
+	$(GO) test -run '^$$' -bench 'BenchmarkLaneGroup/full-power/lanes=1$$' -benchtime 20x \
+		-cpuprofile cpu.out -memprofile mem.out -o sim.test ./internal/sim
+	@echo "profiles written: cpu.out mem.out (pair with binary sim.test)"
 
 clean:
 	$(GO) clean ./...

@@ -21,11 +21,6 @@ import (
 	"powerchop/internal/cde"
 	"powerchop/internal/core"
 	"powerchop/internal/experiments"
-	"powerchop/internal/obs"
-	"powerchop/internal/obs/alert"
-	"powerchop/internal/obs/runlog"
-	"powerchop/internal/obs/span"
-	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/phase"
 	"powerchop/internal/pvt"
 	"powerchop/internal/rescache"
@@ -397,28 +392,6 @@ func BenchmarkAblationTimeout(b *testing.B) {
 	}
 }
 
-// BenchmarkRunCompiled measures raw simulation speed: the
-// compiled-region execution path of one solo run, tracked against
-// recorded baselines (see EXPERIMENTS.md).
-func BenchmarkRunCompiled(b *testing.B) {
-	bench := mustBench(b, "bzip2")
-	p := bench.MustBuild()
-	var insns uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(p, sim.Config{
-			Design:          arch.Server(),
-			Manager:         core.AlwaysOn(),
-			MaxTranslations: 50000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		insns = res.GuestInsns
-	}
-	b.ReportMetric(float64(insns), "insns/op")
-}
-
 // BenchmarkRunBatch measures the batched sweep executor against running
 // the same eight manager variants serially through sim.Run. One op is one
 // eight-lane sweep of bzip2; the serial baseline is timed once up front
@@ -551,109 +524,6 @@ func BenchmarkAblationPVTReplacement(b *testing.B) {
 				hit = res.PVT.HitRate()
 			}
 			b.ReportMetric(hit*100, "%pvt-hit")
-		})
-	}
-}
-
-// BenchmarkObserverOverhead measures what each observer costs a
-// PowerChop run of bzip2, against one shared baseline (none): the no-op
-// tracer, an in-memory ring and a JSONL writer to io.Discard (tracing
-// off must not tax the simulation); a request→sim span tree on a JSONL
-// sink, alone and with a run-history record per run (spans sit at run
-// granularity, never inside the simulator loop); the decision-provenance
-// auditor with the metrics collector that hosts its histograms (what
-// `powerchop explain` pays over `powerchop run`); and telemetry ingest
-// into a default store, alone, stacked on a ring (the serve monitor's
-// shape) and with the default alert ruleset ticking every millisecond.
-func BenchmarkObserverOverhead(b *testing.B) {
-	p := mustBench(b, "bzip2").MustBuild()
-	journal, err := runlog.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	telemetry := func(cfg *sim.Config, tracer obs.Tracer) *tsdb.Store {
-		ts := tsdb.NewStore(tsdb.DefaultConfig())
-		cfg.Tracer = obs.Multi(ts.Ingestor(), tracer)
-		return ts
-	}
-	spans := func(cfg *sim.Config) *span.Span {
-		ctx, root := span.Root(context.Background(), obs.NewJSONL(io.Discard),
-			"request", span.NewRequestID(), "route=bench")
-		cfg.Context = ctx
-		return root
-	}
-	// Each case wires its observer into the run's config and returns
-	// what finishes it after the run, or nil. fired holds the alerts the
-	// tsdb+alerts case's last run fired: the default ruleset must stay
-	// quiet on a healthy run, so fired/op should read 0.
-	var fired uint64
-	cases := []struct {
-		name   string
-		attach func(cfg *sim.Config) (finish func(*sim.Result))
-	}{
-		{"none", func(*sim.Config) func(*sim.Result) { return nil }},
-		{"nop", func(cfg *sim.Config) func(*sim.Result) { cfg.Tracer = obs.Nop{}; return nil }},
-		{"ring", func(cfg *sim.Config) func(*sim.Result) { cfg.Tracer = obs.NewRing(4096); return nil }},
-		{"jsonl", func(cfg *sim.Config) func(*sim.Result) { cfg.Tracer = obs.NewJSONL(io.Discard); return nil }},
-		{"spans", func(cfg *sim.Config) func(*sim.Result) {
-			root := spans(cfg)
-			return func(*sim.Result) { root.End() }
-		}},
-		{"spans+runlog", func(cfg *sim.Config) func(*sim.Result) {
-			start, root := time.Now(), spans(cfg)
-			return func(*sim.Result) {
-				root.End()
-				if err := journal.Append(runlog.Record{
-					Kind: "run", Name: "bzip2", SpanID: root.ID(),
-					DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"audit+metrics", func(cfg *sim.Config) func(*sim.Result) {
-			cfg.Audit, cfg.Metrics = true, true
-			return func(res *sim.Result) {
-				if res.Audit == nil {
-					b.Fatal("audit trail missing")
-				}
-			}
-		}},
-		{"tsdb", func(cfg *sim.Config) func(*sim.Result) { telemetry(cfg, nil); return nil }},
-		{"tsdb+ring", func(cfg *sim.Config) func(*sim.Result) { telemetry(cfg, obs.NewRing(4096)); return nil }},
-		{"tsdb+alerts", func(cfg *sim.Config) func(*sim.Result) {
-			ev, err := alert.New(alert.Config{Rules: alert.DefaultRules(), Store: telemetry(cfg, nil)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			stop := ev.Start(time.Millisecond)
-			return func(*sim.Result) { stop(); fired = ev.FiredTotal() }
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var insns uint64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Config{
-					Design:          arch.Server(),
-					Manager:         core.MustPowerChop(core.DefaultConfig()),
-					MaxTranslations: 50000,
-				}
-				finish := c.attach(&cfg)
-				res, err := sim.Run(p, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if finish != nil {
-					finish(res)
-				}
-				insns = res.GuestInsns
-			}
-			b.ReportMetric(float64(insns), "insns/op")
-			if c.name == "tsdb+alerts" {
-				b.ReportMetric(float64(fired), "fired/op")
-			}
 		})
 	}
 }

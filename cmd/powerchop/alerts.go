@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 
-	"powerchop/internal/benchgate"
 	"powerchop/internal/obs/alert"
 )
 
@@ -50,8 +48,7 @@ func cmdAlertsRules(args []string, stdout io.Writer) error {
 }
 
 // checkReport is the -json document of `alerts check`: the replayed
-// transitions (bench-gate violations appended as synthetic
-// "bench.<name>" firing transitions) plus summary counts.
+// transitions plus summary counts.
 type checkReport struct {
 	Rules      int    `json:"rules"`
 	Events     int    `json:"events,omitempty"`
@@ -61,9 +58,6 @@ type checkReport struct {
 	// Fired counts firing transitions; the command exits non-zero when
 	// it is positive.
 	Fired int `json:"fired"`
-	// BenchViolations lists the raw bench-gate regressions when -bench
-	// was given.
-	BenchViolations []benchgate.Violation `json:"bench_violations,omitempty"`
 }
 
 // Transition aliases the evaluator's transition for the JSON report.
@@ -74,9 +68,7 @@ type Transition = alert.Transition
 // boundaries, as a live run — and reports every rule transition.
 // Registry-metric rules are skipped (a trace carries no registry);
 // series and anomaly rules reconcile exactly with the live /alerts
-// stream. With -bench, the benchmark artifact is additionally gated
-// against a baseline and each regression fires a synthetic
-// "bench.<name>" alert. Exits non-zero when anything fired.
+// stream. Exits non-zero when anything fired.
 func cmdAlertsCheck(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("alerts check", flag.ContinueOnError)
 	rulesFile := fs.String("rules", "", "rule file (JSON; default: the built-in ruleset, see 'alerts rules')")
@@ -84,15 +76,11 @@ func cmdAlertsCheck(args []string, stdout io.Writer) error {
 	every := fs.Uint64("every", alert.DefaultEvery, "series evaluation stride in windows (must match the live -alert-every)")
 	units := fs.String("units", "BPU,MLC,VPU", "gated units pre-declared to the ingest (must match the live run)")
 	asJSON := fs.Bool("json", false, "emit the transitions as JSON")
-	benchFile := fs.String("bench", "", "current benchmark artifact (BENCH_*.json) to gate")
-	benchBase := fs.String("bench-baseline", "", "baseline artifact (default: newest BENCH_*.json beside -bench)")
-	gate := fs.Float64("gate", 25, "bench regression gate in percent (with -bench)")
 	if err := fs.Parse(args); err != nil {
 		return errParse(err)
 	}
-	haveTrace := *in != "" || fs.NArg() > 0
-	if !haveTrace && *benchFile == "" {
-		return usageError{msg: "alerts check: need a trace file and/or -bench ARTIFACT"}
+	if *in == "" && fs.NArg() == 0 {
+		return usageError{msg: "alerts check: need a trace file"}
 	}
 
 	rules := alert.DefaultRules()
@@ -103,39 +91,23 @@ func cmdAlertsCheck(args []string, stdout io.Writer) error {
 		}
 	}
 
-	rep := checkReport{Rules: len(rules)}
-	if haveTrace {
-		events, err := readTraceEvents(fs, *in)
-		if err != nil {
-			return err
-		}
-		ev, err := alert.Replay(events, rules, alert.ReplayConfig{
-			Every: *every,
-			Units: splitUnits(*units),
-		})
-		if err != nil {
-			return err
-		}
-		snap := ev.Snapshot()
-		rep.Events = len(events)
-		rep.LastWindow = snap.LastWindow
-		rep.Transitions = snap.Transitions
+	events, err := readTraceEvents(fs, *in)
+	if err != nil {
+		return err
 	}
-
-	if *benchFile != "" {
-		viols, err := benchCheck(*benchFile, *benchBase, *gate, stdout)
-		if err != nil {
-			return err
-		}
-		rep.BenchViolations = viols
-		for _, v := range viols {
-			rep.Transitions = append(rep.Transitions, Transition{
-				Rule:      "bench." + v.Name,
-				State:     alert.StateFiring,
-				Value:     v.DeltaPct,
-				Threshold: *gate,
-			})
-		}
+	ev, err := alert.Replay(events, rules, alert.ReplayConfig{
+		Every: *every,
+		Units: splitUnits(*units),
+	})
+	if err != nil {
+		return err
+	}
+	snap := ev.Snapshot()
+	rep := checkReport{
+		Rules:       len(rules),
+		Events:      len(events),
+		LastWindow:  snap.LastWindow,
+		Transitions: snap.Transitions,
 	}
 	for _, tr := range rep.Transitions {
 		if tr.State == alert.StateFiring {
@@ -160,28 +132,6 @@ func cmdAlertsCheck(args []string, stdout io.Writer) error {
 		return fmt.Errorf("alerts check: %d alert(s) fired", rep.Fired)
 	}
 	return nil
-}
-
-// benchCheck gates a benchmark artifact against its baseline. A
-// missing baseline skips the gate with a note — the first artifact in
-// a repository has nothing to regress against.
-func benchCheck(current, baseline string, gate float64, stdout io.Writer) ([]benchgate.Violation, error) {
-	art, err := benchgate.Load(current)
-	if err != nil {
-		return nil, err
-	}
-	if baseline == "" {
-		baseline = benchgate.NewestBaseline(filepath.Dir(current), current)
-		if baseline == "" {
-			fmt.Fprintf(stdout, "bench gate skipped: no baseline BENCH_*.json beside %s\n", current)
-			return nil, nil
-		}
-	}
-	prior, err := benchgate.Load(baseline)
-	if err != nil {
-		return nil, err
-	}
-	return benchgate.Gate(prior, art, gate), nil
 }
 
 // splitUnits parses the -units CSV, dropping empty entries.

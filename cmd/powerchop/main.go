@@ -19,7 +19,7 @@
 //	powerchop headline [-scale 1] [-jobs N] [-http :8080] [-cache DIR]
 //	powerchop serve [-addr :8080] [-scale 1] [-jobs N] [-trace out.jsonl] [-alert-rules FILE]
 //	powerchop alerts rules
-//	powerchop alerts check [-rules FILE] [-bench BENCH.json -gate PCT] [trace.jsonl]
+//	powerchop alerts check [-rules FILE] [-json] trace.jsonl
 //	powerchop alerts watch -addr URL
 //
 // The -http flag attaches a live monitor to the run: Prometheus metrics
@@ -194,7 +194,7 @@ commands:
   top -bench NAME [flags]       run in process, then show the telemetry summary
   runs [list|show|tail] [-cache DIR] [-kind K] [-name N] [-json]  browse the run history
   alerts rules                  print the built-in alert ruleset as JSON
-  alerts check [-rules F] [-bench ART -gate PCT] [TRACE]  replay a trace through the alert rules; exit 1 if any fire
+  alerts check [-rules F] [-json] TRACE  replay a trace through the alert rules; exit 1 if any fire
   alerts watch -addr URL        tail the live alert-transition stream of a serve monitor
   policies [-json]              list registered gating policies and parameter schemas
   tune -policy NAME [-bench B1,B2] [-grid P=LO:HI:N] [-jobs N] [-batch N] [-json]  Pareto sweep

@@ -295,3 +295,62 @@ func TestValidLinesNeverExceedCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkCacheAccess times one Access on the server design's caches
+// (arch.Server: a 32 KB 8-way L1 and a 1024 KB 8-way MLC, 64 B lines),
+// the MLC at 8, 4 and 1 active ways. Each cache replays two address
+// streams, generated before the timer starts and warmed through once:
+// "hit-heavy" draws random lines from a working set of half the active
+// capacity, one store per four accesses, so every access hits;
+// "streaming" reads sequential lines over four times the active
+// capacity, so every access misses and evicts. One op is one Access.
+func BenchmarkCacheAccess(b *testing.B) {
+	l1 := Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}
+	mlc := Config{SizeBytes: 1024 << 10, Ways: 8, LineBytes: 64}
+	caches := []struct {
+		name string
+		cfg  Config
+		ways int
+	}{
+		{"L1", l1, 8},
+		{"MLC/ways=8", mlc, 8},
+		{"MLC/ways=4", mlc, 4},
+		{"MLC/ways=1", mlc, 1},
+	}
+	type op struct {
+		addr  uint64
+		write bool
+	}
+	const base = 1 << 32 // clear of the zero line
+	for _, c := range caches {
+		line := uint64(c.cfg.LineBytes)
+		lines := uint64(c.cfg.SizeBytes / c.cfg.Ways * c.ways / c.cfg.LineBytes)
+		rnd := rng.New(1)
+		hot := make([]op, 1<<16)
+		for i := range hot {
+			hot[i] = op{base + rnd.Uint64n(lines/2)*line, i%4 == 3}
+		}
+		stream := make([]op, 4*lines) // a power of two, like hot's length
+		for i := range stream {
+			stream[i] = op{base + uint64(i)*line, false}
+		}
+		for _, s := range []struct {
+			name string
+			ops  []op
+		}{{"hit-heavy", hot}, {"streaming", stream}} {
+			b.Run(c.name+"/"+s.name, func(b *testing.B) {
+				cache := New(c.cfg)
+				cache.SetActiveWays(c.ways)
+				for _, o := range s.ops {
+					cache.Access(o.addr, o.write)
+				}
+				mask := len(s.ops) - 1
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					o := s.ops[i&mask]
+					cache.Access(o.addr, o.write)
+				}
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +70,100 @@ func TestMedian(t *testing.T) {
 	Median(in)
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
 		t.Error("Median mutated its input")
+	}
+}
+
+// TestMannWhitneyExact pins the exact path against p-values counted by
+// hand over the 252 ways to split 1..10 into two samples of five, and
+// checks every such split against the same enumeration.
+func TestMannWhitneyExact(t *testing.T) {
+	cases := []struct {
+		x, y []float64
+		want float64
+	}{
+		{[]float64{1, 2, 3, 4, 5}, []float64{6, 7, 8, 9, 10}, 2.0 / 252},
+		{[]float64{1, 2, 3, 4, 6}, []float64{5, 7, 8, 9, 10}, 4.0 / 252},
+		{[]float64{1, 2, 3, 5, 6}, []float64{4, 7, 8, 9, 10}, 8.0 / 252},
+		{[]float64{1, 3, 5, 7, 9}, []float64{2, 4, 6, 8, 10}, 174.0 / 252},
+	}
+	for _, c := range cases {
+		if got := MannWhitney(c.x, c.y); !almost(got, c.want) {
+			t.Errorf("MannWhitney(%v, %v) = %v, want %v", c.x, c.y, got, c.want)
+		}
+		if got := MannWhitney(c.y, c.x); !almost(got, c.want) {
+			t.Errorf("MannWhitney(%v, %v) = %v, want %v (swapped)", c.y, c.x, got, c.want)
+		}
+	}
+
+	// Every split: U counts pairs with x > y; the two-sided p doubles
+	// the smaller tail.
+	var splits [][2][]float64
+	for mask := 0; mask < 1<<10; mask++ {
+		if bits.OnesCount(uint(mask)) != 5 {
+			continue
+		}
+		var x, y []float64
+		for v := 1; v <= 10; v++ {
+			if mask&(1<<(v-1)) != 0 {
+				x = append(x, float64(v))
+			} else {
+				y = append(y, float64(v))
+			}
+		}
+		splits = append(splits, [2][]float64{x, y})
+	}
+	uOf := func(x, y []float64) int {
+		u := 0
+		for _, a := range x {
+			for _, b := range y {
+				if a > b {
+					u++
+				}
+			}
+		}
+		return u
+	}
+	for _, s := range splits {
+		u := uOf(s[0], s[1])
+		lo, hi := 0, 0
+		for _, o := range splits {
+			v := uOf(o[0], o[1])
+			if v <= u {
+				lo++
+			}
+			if v >= u {
+				hi++
+			}
+		}
+		want := math.Min(1, 2*math.Min(float64(lo), float64(hi))/float64(len(splits)))
+		if got := MannWhitney(s[0], s[1]); !almost(got, want) {
+			t.Fatalf("MannWhitney(%v, %v) = %v, want %v by enumeration", s[0], s[1], got, want)
+		}
+	}
+}
+
+func TestMannWhitneyTiesAndEdges(t *testing.T) {
+	same := []float64{3, 1, 4, 1, 5}
+	if got := MannWhitney(same, same); got != 1 {
+		t.Errorf("identical samples: p = %v, want 1", got)
+	}
+	flat := []float64{7, 7, 7}
+	if got := MannWhitney(flat, flat); got != 1 {
+		t.Errorf("all-tied samples: p = %v, want 1", got)
+	}
+	if got := MannWhitney(nil, same); got != 1 {
+		t.Errorf("empty sample: p = %v, want 1", got)
+	}
+	// A tie group of three across the samples takes the normal
+	// approximation: U = 2, sd = sqrt(25/12 × (11 − 24/90)), and the
+	// continuity-corrected z = 10/sd gives p = erfc(z/√2).
+	x, y := []float64{1, 2, 3, 3, 4}, []float64{3, 5, 6, 7, 8}
+	const want = 0.03445363703947131
+	if got := MannWhitney(x, y); math.Abs(got-want) > 1e-12 {
+		t.Errorf("tied case: p = %v, want %v", got, want)
+	}
+	if got := MannWhitney(y, x); math.Abs(got-want) > 1e-12 {
+		t.Errorf("tied case swapped: p = %v, want %v", got, want)
 	}
 }
 
