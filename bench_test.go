@@ -40,6 +40,24 @@ func figureRunner() *experiments.Runner {
 	return benchRunner
 }
 
+// fullPowerRun is the shared runner's full-power run of the benchmark,
+// the baseline the ablations normalize against.
+func fullPowerRun(bench workload.Benchmark) (*sim.Result, error) {
+	spec, err := resolvePolicy(ManagerFullPower)
+	if err != nil {
+		return nil, err
+	}
+	l, err := experiments.PolicyLane(spec, nil)
+	if err != nil {
+		return nil, err
+	}
+	set, err := figureRunner().ResultSet(context.Background(), []workload.Benchmark{bench}, []experiments.Lane{l})
+	if err != nil {
+		return nil, err
+	}
+	return set[0][0], nil
+}
+
 // printOnce guards each figure's one-time console rendering.
 var printedFigures sync.Map
 
@@ -282,7 +300,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 					cfg := core.DefaultConfig()
 					cfg.Thresholds = cde.Thresholds{VPU: thr, BPU: thr, MLC1: thr, MLC2: thr / 10}
 					res := ablationRun(b, app, cfg, phase.DefaultConfig())
-					full, err := figureRunner().Result(context.Background(), mustBench(b, app), experiments.KindFullPower)
+					full, err := fullPowerRun(mustBench(b, app))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -378,7 +396,7 @@ func BenchmarkAblationTimeout(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				full, err := figureRunner().Result(context.Background(), bench, experiments.KindFullPower)
+				full, err := fullPowerRun(bench)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -490,7 +508,7 @@ func BenchmarkAblationEnergyMin(b *testing.B) {
 				energyRed, slow = 0, 0
 				for _, app := range apps {
 					res := ablationRun(b, app, cfgCase.cfg, phase.DefaultConfig())
-					full, err := figureRunner().Result(context.Background(), mustBench(b, app), experiments.KindFullPower)
+					full, err := fullPowerRun(mustBench(b, app))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -2,6 +2,7 @@ package powerchop
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"powerchop/internal/rescache"
@@ -46,6 +47,29 @@ func TestWarmCacheFiguresByteIdentical(t *testing.T) {
 	}
 	if warm != uncached {
 		t.Error("warm-cache render differs from uncached render")
+	}
+}
+
+// TestCompareHitsFigureCache pins one cache entry per simulation across
+// the figure and root paths: Figure 12 files its runs under the policy
+// fingerprint, as Compare does, and at scale 0.02 a figure run is one
+// schedule pass, so a one-pass Compare after a Figure 12 render on the
+// same cache simulates nothing.
+func TestCompareHitsFigureCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders Figure 12")
+	}
+	cache := rescache.New(t.TempDir(), nil)
+	if err := NewFigureRunner(0.02, WithCache(cache)).RenderFigure(io.Discard, "fig12"); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	if _, err := Compare("gobmk", Options{Passes: 1, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	after := cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 3 || misses != 0 {
+		t.Errorf("compare after fig12: %d hits, %d misses, want 3 and 0", hits, misses)
 	}
 }
 

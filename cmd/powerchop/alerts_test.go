@@ -98,3 +98,26 @@ func TestAlertsCheckTrace(t *testing.T) {
 		t.Errorf("ci-synthetic never fired: %+v", transitions)
 	}
 }
+
+// TestAlertsCheckQuietTrace: on a trace where no default rule changes
+// state, the JSON report lists its transitions as an empty array, not
+// null, so `jq '.transitions[]'` works on every report.
+func TestAlertsCheckQuietTrace(t *testing.T) {
+	t.Setenv("POWERCHOP_CACHE", "")
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"run", "-bench", "gobmk", "-passes", "0.1", "-trace", trace}, &out, &errOut); code != 0 {
+		t.Fatalf("run exited %d: %s", code, errOut.String())
+	}
+	out.Reset()
+	if code := run([]string{"alerts", "check", "-json", trace}, &out, &errOut); code != 0 {
+		t.Fatalf("alerts check exited %d: %s", code, errOut.String())
+	}
+	var rep map[string]json.RawMessage
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("alerts check printed no JSON report (%v): %s", err, out.String())
+	}
+	if got := string(rep["transitions"]); got != "[]" {
+		t.Errorf("transitions = %s, want []", got)
+	}
+}

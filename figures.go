@@ -57,8 +57,8 @@ func WithTracer(t obs.Tracer) FigureOption {
 }
 
 // WithProgress registers a callback for run lifecycle updates: queued
-// when a (benchmark, kind) run is registered, simulating with live
-// counters at every window boundary, done or error at completion.
+// when a (benchmark, manager key) run is registered, simulating with
+// live counters at every window boundary, done or error at completion.
 // Callbacks arrive concurrently from the simulating goroutines.
 func WithProgress(fn func(RunProgress)) FigureOption {
 	return func(c *figureConfig) { c.progress = fn }
@@ -109,7 +109,7 @@ func progressSink(fn func(RunProgress)) experiments.ProgressSink {
 	return experiments.ProgressFunc(func(u experiments.RunUpdate) {
 		rp := RunProgress{
 			Benchmark:    u.Benchmark,
-			Kind:         string(u.Kind),
+			Kind:         u.Kind,
 			State:        string(u.State),
 			Cycles:       u.Cycles,
 			Translations: u.Translations,

@@ -44,17 +44,23 @@ func (q *QualityResult) Render() string {
 }
 
 // Figure8 measures phase-identification quality over every benchmark's
-// PowerChop run (Section V-B).
+// PowerChop run (Section V-B). Tracking quality is part of a lane's
+// key, so the tracked runs are silent extras beside the canonical
+// PowerChop runs, as sampled runs are. Each is submitted beside its
+// canonical run, which Figures 9-14 read, so that a cold render walks
+// each benchmark once for both.
 func Figure8(ctx context.Context, r *Runner) (*QualityResult, error) {
 	bs := workload.All()
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	quality := powerChop
+	quality.Quality, quality.Silent = true, true
+	set, err := r.ResultSet(ctx, bs, []Lane{powerChop, quality})
 	if err != nil {
 		return nil, err
 	}
 	out := &QualityResult{}
 	var means []float64
 	for i, b := range bs {
-		res := set[i][0]
+		res := set[i][1]
 		out.Rows = append(out.Rows, QualityRow{
 			Benchmark: b.Name,
 			MeanFrac:  res.QualityMeanFrac,
@@ -100,7 +106,7 @@ func (a *ActivityResult) Render() string {
 }
 
 func activity(ctx context.Context, r *Runner, title string, bs []workload.Benchmark) (*ActivityResult, error) {
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	set, err := r.ResultSet(ctx, bs, []Lane{powerChop})
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +170,7 @@ func (s *SwitchResult) Render() string {
 // states (Section V-C).
 func Figure11(ctx context.Context, r *Runner) (*SwitchResult, error) {
 	bs := workload.All()
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	set, err := r.ResultSet(ctx, bs, []Lane{powerChop})
 	if err != nil {
 		return nil, err
 	}

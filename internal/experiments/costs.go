@@ -120,7 +120,7 @@ type SoftwareCostRow struct {
 // the SPEC suites, as the paper reports.
 func SoftwareCosts(ctx context.Context, r *Runner) (*SoftwareCostsResult, error) {
 	bs := append(workload.BySuite(workload.SPECInt), workload.BySuite(workload.SPECFP)...)
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindPowerChop))
+	set, err := r.ResultSet(ctx, bs, []Lane{powerChop})
 	if err != nil {
 		return nil, err
 	}

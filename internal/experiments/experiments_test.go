@@ -26,18 +26,33 @@ func runner(t *testing.T) *Runner {
 	return testRunner
 }
 
+// TestManagerKinds checks every figure template builds a manager, that
+// the registered policies among them are keyed by fingerprint like any
+// other run of the policy, and that an unknown policy has no template.
 func TestManagerKinds(t *testing.T) {
-	for _, k := range []Kind{
-		KindFullPower, KindPowerChop, KindMinPower, KindTimeout,
-		KindSmallBPU, KindMLCOne, KindChopVPU, KindChopBPU, KindChopMLC,
-	} {
-		m, err := manager(k)
+	for _, l := range figureTemplates {
+		m, err := l.Manager()
 		if err != nil || m == nil {
-			t.Errorf("manager(%s) = %v, %v", k, m, err)
+			t.Errorf("%s: Manager() = %v, %v", l.ManagerKey, m, err)
 		}
 	}
-	if _, err := manager(Kind("bogus")); err == nil {
-		t.Error("bogus kind accepted")
+	for _, c := range []struct {
+		l    Lane
+		want string
+	}{
+		{fullPower, "full-power{}"},
+		{minPower, "min-power{}"},
+		{timeout, "timeout{idle-cycles=20000}"},
+		{powerChop, "powerchop{bpu=0.005,mlc1=0.005,mlc2=0.0005,vpu=0.005}"},
+		{smallBPU, "small-bpu"},
+		{chopVPU, "powerchop-vpu"},
+	} {
+		if c.l.ManagerKey != c.want {
+			t.Errorf("manager key %q, want %q", c.l.ManagerKey, c.want)
+		}
+	}
+	if _, err := policyLane("bogus", nil); err == nil {
+		t.Error("bogus policy accepted")
 	}
 }
 
@@ -47,11 +62,11 @@ func TestRunnerCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := r.Result(context.Background(), b, KindFullPower)
+	r1, err := result(r, b, fullPower)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := r.Result(context.Background(), b, KindFullPower)
+	r2, err := result(r, b, fullPower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +385,7 @@ func TestRunnerTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Result(context.Background(), b, KindPowerChop); err != nil {
+	if _, err := result(r, b, powerChop); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Total() == 0 {

@@ -50,7 +50,7 @@ func (p *PerfResult) Render() string {
 // configurations (Section V-D).
 func Figure12(ctx context.Context, r *Runner) (*PerfResult, error) {
 	bs := workload.All()
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower, KindPowerChop, KindMinPower))
+	set, err := r.ResultSet(ctx, bs, []Lane{fullPower, powerChop, minPower})
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func PowerReductions(ctx context.Context, r *Runner) (*PowerResult, error) {
 		AvgLeakage: map[string]float64{},
 	}
 	bs := workload.All()
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower, KindPowerChop))
+	set, err := r.ResultSet(ctx, bs, []Lane{fullPower, powerChop})
 	if err != nil {
 		return nil, err
 	}

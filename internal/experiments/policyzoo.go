@@ -75,15 +75,20 @@ func (z *ZooResult) Render() string {
 // benchmark and compares each against the shared full-power baseline.
 // Every benchmark's baseline and policy lanes go through one ResultSet
 // call, so a cold render drives each benchmark's six configurations from
-// a single instruction walk; results, cache entries and singleflight
-// keys are identical to the per-run path.
+// a single instruction walk. Its lanes are keyed by policy fingerprint,
+// so they share flights and cache entries with every other figure, run,
+// compare and tune lane of the same policy and run length.
 func PolicyZoo(ctx context.Context, r *Runner) (*ZooResult, error) {
-	runs := kindRuns(KindFullPower)
+	lanes := []Lane{fullPower}
 	for _, name := range ZooPolicies {
-		runs = append(runs, BatchRun{Policy: name})
+		l, err := policyLane(name, nil)
+		if err != nil {
+			return nil, err
+		}
+		lanes = append(lanes, l)
 	}
 	bs := workload.All()
-	set, err := r.ResultSet(ctx, bs, runs)
+	set, err := r.ResultSet(ctx, bs, lanes)
 	if err != nil {
 		return nil, err
 	}

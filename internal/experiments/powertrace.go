@@ -20,6 +20,17 @@ func PowerTrace(ctx context.Context, r *Runner) (*TimeSeriesResult, error) {
 	return PowerTraceBench(ctx, r, "gobmk")
 }
 
+// telemetry is a template's run with the time-series store's ingestor
+// attached as the lane's tracer. Like every observed lane it is never
+// cached or deduplicated, but still bounded by the runner's job slots,
+// and like a sampled lane it stays silent on progress. The runner's
+// shared Tracer, if any, stays attached alongside, so figure output
+// remains byte-identical either way.
+func telemetry(l Lane, ts *tsdb.Store) Lane {
+	l.Tracer, l.Silent = ts.Ingestor(), true
+	return l
+}
+
 // traceSeries queries one series' raw level into a labeled value list.
 func traceSeries(ts *tsdb.Store, name, label string) (stats.Series, error) {
 	res, err := ts.Query(tsdb.Query{Series: name})
@@ -40,10 +51,11 @@ func PowerTraceBench(ctx context.Context, r *Runner, bench string) (*TimeSeriesR
 		return nil, err
 	}
 	ts := tsdb.NewStore(tsdb.DefaultConfig())
-	res, err := r.Telemetry(ctx, b, KindPowerChop, ts)
+	set, err := r.ResultSet(ctx, []workload.Benchmark{b}, []Lane{telemetry(powerChop, ts)})
 	if err != nil {
 		return nil, err
 	}
+	res := set[0][0]
 
 	var series []stats.Series
 	for _, unit := range []string{arch.UnitVPU, arch.UnitBPU, arch.UnitMLC} {

@@ -60,12 +60,12 @@ func TestRunnerTelemetryPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := r.Result(context.Background(), b, KindPowerChop)
+	plain, err := result(r, b, powerChop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := tsdb.NewStore(tsdb.DefaultConfig())
-	teled, err := r.Telemetry(context.Background(), b, KindPowerChop, ts)
+	teled, err := result(r, b, telemetry(powerChop, ts))
 	if err != nil {
 		t.Fatal(err)
 	}

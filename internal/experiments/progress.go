@@ -2,7 +2,7 @@ package experiments
 
 import "time"
 
-// RunState is where a (benchmark, kind) run is in its lifecycle.
+// RunState is where a (benchmark, manager key) run is in its lifecycle.
 type RunState string
 
 const (
@@ -21,8 +21,10 @@ const (
 // cycle/translation counters advance window by window; Elapsed and Err
 // are set on the terminal states.
 type RunUpdate struct {
-	Benchmark    string
-	Kind         Kind
+	Benchmark string
+	// Kind is the lane's manager key: a policy fingerprint such as
+	// "full-power{}", or a study-only setup such as "powerchop-vpu".
+	Kind         string
 	State        RunState
 	Cycles       float64
 	Translations uint64

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -40,7 +39,7 @@ func TestRunnerProgressLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Result(context.Background(), b, KindPowerChop)
+	res, err := result(r, b, powerChop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestRunnerProgressLifecycle(t *testing.T) {
 			last, res.Cycles, res.Windows)
 	}
 	for i, u := range ups {
-		if u.Benchmark != "namd" || u.Kind != KindPowerChop {
+		if u.Benchmark != "namd" || u.Kind != powerChop.ManagerKey {
 			t.Fatalf("update %d for wrong run: %+v", i, u)
 		}
 		if u.State == RunSimulating && u.Translations > 0 && u.Total == 0 {
@@ -81,11 +80,11 @@ func TestRunnerProgressLifecycle(t *testing.T) {
 
 	// A cached call must not replay the lifecycle.
 	before := len(sink.all())
-	if _, err := r.Result(context.Background(), b, KindPowerChop); err != nil {
+	if _, err := result(r, b, powerChop); err != nil {
 		t.Fatal(err)
 	}
 	if after := len(sink.all()); after != before {
-		t.Fatalf("cached Result emitted %d extra updates", after-before)
+		t.Fatalf("cached run emitted %d extra updates", after-before)
 	}
 }
 
@@ -95,8 +94,8 @@ func TestRunnerProgressError(t *testing.T) {
 	r := NewParallelRunner(0.05, 1)
 	r.Progress = sink
 	bad := workload.Benchmark{Name: "broken"}
-	if _, err := r.Result(context.Background(), bad, Kind("nonsense")); err == nil {
-		t.Fatal("bogus kind succeeded")
+	if _, err := result(r, bad, bogus); err == nil {
+		t.Fatal("bogus run succeeded")
 	}
 	ups := sink.all()
 	if len(ups) == 0 {
@@ -119,13 +118,13 @@ func TestRunnerProgressDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	silent := NewParallelRunner(0.05, 1)
-	want, err := silent.Result(context.Background(), b, KindPowerChop)
+	want, err := result(silent, b, powerChop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	observed := NewParallelRunner(0.05, 1)
 	observed.Progress = &recordingSink{}
-	got, err := observed.Result(context.Background(), b, KindPowerChop)
+	got, err := result(observed, b, powerChop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,43 +16,16 @@ import (
 	"time"
 
 	"powerchop/internal/arch"
+	"powerchop/internal/cde"
 	"powerchop/internal/core"
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/span"
-	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/policy"
 	"powerchop/internal/program"
 	"powerchop/internal/pvt"
 	"powerchop/internal/rescache"
 	"powerchop/internal/sim"
 	"powerchop/internal/workload"
-)
-
-// Kind selects the power-management configuration of a run.
-type Kind string
-
-const (
-	// KindFullPower keeps the VPU, BPU and MLC at full power (Figure 12's
-	// baseline).
-	KindFullPower Kind = "full-power"
-	// KindPowerChop runs the full PowerChop system managing all three
-	// units.
-	KindPowerChop Kind = "powerchop"
-	// KindMinPower holds every unit in its lowest-power state.
-	KindMinPower Kind = "min-power"
-	// KindTimeout runs the hardware-only 20K-cycle idle-timeout VPU
-	// baseline of Section V-E.
-	KindTimeout Kind = "timeout"
-	// KindSmallBPU forces the small local predictor (Figure 2's series).
-	KindSmallBPU Kind = "small-bpu"
-	// KindMLCOne forces the one-way MLC (Figure 3's 128KB 1-way series).
-	KindMLCOne Kind = "mlc-one-way"
-	// KindChopVPU runs PowerChop managing only the VPU (per-unit study).
-	KindChopVPU Kind = "powerchop-vpu"
-	// KindChopBPU runs PowerChop managing only the BPU.
-	KindChopBPU Kind = "powerchop-bpu"
-	// KindChopMLC runs PowerChop managing only the MLC.
-	KindChopMLC Kind = "powerchop-mlc"
 )
 
 // defaultBatchCap bounds the lanes one batched simulation group drives
@@ -166,39 +139,6 @@ func (r *Runner) runLength(schedule int) uint64 {
 	return n
 }
 
-// manager constructs a fresh manager of the kind (managers are stateful
-// and must not be shared across runs). The base kinds resolve through
-// the policy registry at default parameters — the registry is the
-// single source of manager construction — while the study-only kinds
-// (forced unit states, per-unit PowerChop isolation) keep their local
-// wiring: they are experiment configurations, not selectable policies.
-func manager(kind Kind) (core.Manager, error) {
-	switch kind {
-	case KindFullPower, KindPowerChop, KindMinPower, KindTimeout:
-		spec, ok := policy.Lookup(string(kind))
-		if !ok {
-			return nil, fmt.Errorf("experiments: kind %q not in policy registry", kind)
-		}
-		return spec.Manager(nil)
-	case KindSmallBPU:
-		p := core.AlwaysOn().Policy
-		p.BPUOn = false
-		return &core.Static{ManagerName: string(KindSmallBPU), Policy: p}, nil
-	case KindMLCOne:
-		p := core.AlwaysOn().Policy
-		p.MLC = pvt.MLCOne
-		return &core.Static{ManagerName: string(KindMLCOne), Policy: p}, nil
-	case KindChopVPU, KindChopBPU, KindChopMLC:
-		cfg := core.DefaultConfig()
-		cfg.Managed.VPU = kind == KindChopVPU
-		cfg.Managed.BPU = kind == KindChopBPU
-		cfg.Managed.MLC = kind == KindChopMLC
-		return core.NewPowerChop(cfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown run kind %q", kind)
-	}
-}
-
 // designFor picks the benchmark's design point: MobileBench runs on the
 // mobile core, everything else on the server core (Section V-A).
 func designFor(b workload.Benchmark) arch.Design {
@@ -228,11 +168,12 @@ type Lane struct {
 	// and never shared between runs).
 	Manager func() (core.Manager, error)
 	// ManagerKey names the manager in the lane's cache key and in
-	// progress reports: an experiment kind, or a policy fingerprint.
+	// progress reports: a policy fingerprint, or the name of a
+	// study-only setup.
 	ManagerKey string
-	// Silent lanes send no progress reports: sampled and telemetry
-	// extras that would otherwise share a progress row with the
-	// canonical run of their manager.
+	// Silent lanes send no progress reports: sampled, quality-tracking
+	// and telemetry extras that would otherwise share a progress row with
+	// the canonical run of their manager.
 	Silent bool
 
 	// Observers. A lane carrying any of them runs alone and is never
@@ -303,109 +244,6 @@ func PolicyLane(spec policy.Spec, params policy.Params) (Lane, error) {
 	}, nil
 }
 
-// kindLane is the lane template of a fixed experiment kind. Canonical
-// PowerChop runs track translation quality for Figure 8.
-func kindLane(kind Kind) Lane {
-	return Lane{
-		ManagerKey: string(kind),
-		Quality:    kind == KindPowerChop,
-		Manager:    func() (core.Manager, error) { return manager(kind) },
-	}
-}
-
-// Result returns the (memoized) run of the benchmark under the kind.
-// Concurrent calls for the same key simulate exactly once: the first
-// caller registers a flight and runs, later callers wait on it. Errors
-// are not memoized — a failed flight is dropped so a subsequent call can
-// retry.
-//
-// When ctx carries a span (internal/obs/span) the flight owner's
-// simulation runs under a "benchmark" child span; deduplicated waiters
-// and cache hits open no span of their own.
-func (r *Runner) Result(ctx context.Context, b workload.Benchmark, kind Kind) (*sim.Result, error) {
-	return r.one(ctx, b, kindLane(kind))
-}
-
-// PolicyResult returns the (memoized) run of the benchmark under a
-// registered policy at the given parameters, with Result's singleflight
-// and persistent-cache semantics keyed by the policy fingerprint. It
-// errors on an unknown policy or an invalid parameter assignment.
-func (r *Runner) PolicyResult(ctx context.Context, b workload.Benchmark, name string, params policy.Params) (*sim.Result, error) {
-	l, err := policyLane(name, params)
-	if err != nil {
-		return nil, err
-	}
-	return r.one(ctx, b, l)
-}
-
-// Sampled runs the benchmark with time-series sampling enabled (used by
-// the Figure 1-3 time-series plots). The sample interval is part of the
-// lane's key, so sampled runs never alias the canonical run; they stay
-// silent on the progress board, which keys rows by manager.
-func (r *Runner) Sampled(ctx context.Context, b workload.Benchmark, kind Kind, sampleInterval uint64) (*sim.Result, error) {
-	l := kindLane(kind)
-	l.SampleInterval = sampleInterval
-	l.Quality = false
-	l.Silent = true
-	return r.one(ctx, b, l)
-}
-
-// Telemetry runs the benchmark with the time-series store's ingestor
-// attached as the lane's tracer (used by the
-// power-trace figure). Like every observed lane it is never cached or
-// deduplicated, but still bounded by the runner's job slots, and like
-// Sampled it stays silent on progress. The runner's shared Tracer, if
-// any, stays attached alongside, so figure output remains byte-identical
-// either way.
-func (r *Runner) Telemetry(ctx context.Context, b workload.Benchmark, kind Kind, ts *tsdb.Store) (*sim.Result, error) {
-	l := kindLane(kind)
-	l.Tracer = ts.Ingestor()
-	l.Silent = true
-	return r.one(ctx, b, l)
-}
-
-// BatchRun selects one run of a ResultSet call: a fixed experiment
-// Kind, or — when Policy is non-empty — a registered policy at a
-// parameter assignment, the same selections Result and PolicyResult
-// make individually.
-type BatchRun struct {
-	Kind   Kind
-	Policy string
-	Params policy.Params
-}
-
-// kindRuns selects fixed experiment kinds for ResultSet.
-func kindRuns(kinds ...Kind) []BatchRun {
-	runs := make([]BatchRun, len(kinds))
-	for i, k := range kinds {
-		runs[i].Kind = k
-	}
-	return runs
-}
-
-// ResultSet returns the runs of every benchmark under every requested
-// configuration, indexed by benchmark and then by run, with Result's
-// singleflight and persistent-cache semantics per lane. The whole set is
-// one Run call, so its cold lanes on one benchmark share batched
-// simulations — one instruction walk driving every lane of a group
-// (internal/sim.RunBatch), byte-identical to one-lane runs — and its
-// groups fill every job slot. An unknown policy fails the call before any work.
-func (r *Runner) ResultSet(ctx context.Context, bs []workload.Benchmark, runs []BatchRun) ([][]*sim.Result, error) {
-	lanes := make([]Lane, len(runs))
-	for i, br := range runs {
-		if br.Policy == "" {
-			lanes[i] = kindLane(br.Kind)
-			continue
-		}
-		l, err := policyLane(br.Policy, br.Params)
-		if err != nil {
-			return nil, err
-		}
-		lanes[i] = l
-	}
-	return r.runSet(ctx, bs, lanes)
-}
-
 // policyLane is PolicyLane for a policy named in the registry.
 func policyLane(name string, params policy.Params) (Lane, error) {
 	spec, ok := policy.Lookup(name)
@@ -415,21 +253,75 @@ func policyLane(name string, params policy.Params) (Lane, error) {
 	return PolicyLane(spec, params)
 }
 
-// one submits a single lane template on the benchmark.
-func (r *Runner) one(ctx context.Context, b workload.Benchmark, l Lane) (*sim.Result, error) {
-	res, err := r.runSet(ctx, []workload.Benchmark{b}, []Lane{l})
+// The lane templates the figures submit. The paper's four managers are
+// registered policies, so their figure runs are policy lanes at default
+// parameters, keyed by fingerprint exactly like a run, compare or tune
+// lane of the same policy. The study-only setups are experiment
+// configurations, not selectable policies, and keep their names as
+// manager keys.
+var (
+	fullPower = registered("full-power")
+	powerChop = registered("powerchop")
+	minPower  = registered("min-power")
+	timeout   = registered("timeout")
+
+	// smallBPU forces the small local predictor (Figure 2's series).
+	smallBPU = fixed("small-bpu", pvt.Policy{VPUOn: true, MLC: pvt.MLCAll})
+	// mlcOneWay forces the one-way MLC (Figure 3's 128KB 1-way series).
+	mlcOneWay = fixed("mlc-one-way", pvt.Policy{VPUOn: true, BPUOn: true, MLC: pvt.MLCOne})
+	// chopVPU, chopBPU and chopMLC run PowerChop managing one unit only
+	// (the per-unit study and Figure 16).
+	chopVPU = chopOnly("powerchop-vpu", cde.Managed{VPU: true})
+	chopBPU = chopOnly("powerchop-bpu", cde.Managed{BPU: true})
+	chopMLC = chopOnly("powerchop-mlc", cde.Managed{MLC: true})
+)
+
+// registered is the lane template of a built-in policy at its defaults.
+// The built-ins register in internal/policy's init, which runs before
+// this package's variables are initialized, so a missing one is a
+// wiring bug.
+func registered(name string) Lane {
+	l, err := policyLane(name, nil)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	return res[0][0], nil
+	return l
 }
 
-// runSet completes every lane template on every benchmark with the
+// fixed is the template of a study-only setup that holds one policy
+// vector for the whole run.
+func fixed(key string, p pvt.Policy) Lane {
+	return Lane{ManagerKey: key, Manager: func() (core.Manager, error) {
+		return &core.Static{ManagerName: key, Policy: p}, nil
+	}}
+}
+
+// chopOnly is the template of a study-only PowerChop setup managing
+// only the given units; the others stay fully powered.
+func chopOnly(key string, units cde.Managed) Lane {
+	return Lane{ManagerKey: key, Manager: func() (core.Manager, error) {
+		cfg := core.DefaultConfig()
+		cfg.Managed = units
+		return core.NewPowerChop(cfg)
+	}}
+}
+
+// ResultSet completes every lane template on every benchmark with the
 // benchmark's program, its design point and the runner's run length,
-// then runs all of them in one Run call. Programs build on up to Jobs()
-// workers. A benchmark that fails to build fails every lane on it,
-// reported as such, and the call returns before simulating anything.
-func (r *Runner) runSet(ctx context.Context, bs []workload.Benchmark, templates []Lane) ([][]*sim.Result, error) {
+// and returns the results indexed by benchmark and then by template.
+// The whole set is one Run call, with Run's singleflight and
+// persistent-cache semantics per lane, so its cold lanes on one
+// benchmark share batched simulations — one instruction walk driving
+// every lane of a group (internal/sim.RunBatch), byte-identical to
+// one-lane runs — and its groups fill every job slot. Programs build on
+// up to Jobs() workers. A benchmark that fails to build fails every
+// lane on it, reported as such, and the call returns before simulating
+// anything.
+//
+// When ctx carries a span (internal/obs/span) each simulation group runs
+// under a child span (see simulateGroup); deduplicated waiters and cache
+// hits open no span of their own.
+func (r *Runner) ResultSet(ctx context.Context, bs []workload.Benchmark, templates []Lane) ([][]*sim.Result, error) {
 	ts := make([]Lane, len(bs))
 	errs := make([]error, len(bs))
 	r.each(len(bs), func(i int) {
@@ -438,7 +330,7 @@ func (r *Runner) runSet(ctx context.Context, bs []workload.Benchmark, templates 
 		}
 		for _, l := range templates {
 			if !l.Silent {
-				r.report(RunUpdate{Benchmark: bs[i].Name, Kind: Kind(l.ManagerKey), State: RunError, Err: errs[i]})
+				r.report(RunUpdate{Benchmark: bs[i].Name, Kind: l.ManagerKey, State: RunError, Err: errs[i]})
 			}
 		}
 	})
@@ -543,7 +435,7 @@ func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
 			r.mu.Unlock()
 		}
 		if !l.Silent {
-			u := RunUpdate{Benchmark: l.Program.Name, Kind: Kind(l.ManagerKey), State: RunDone, Elapsed: time.Since(started)}
+			u := RunUpdate{Benchmark: l.Program.Name, Kind: l.ManagerKey, State: RunDone, Elapsed: time.Since(started)}
 			if err != nil {
 				u.State, u.Err = RunError, err
 			} else {
@@ -557,7 +449,7 @@ func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
 
 	for _, i := range owned {
 		if !lanes[i].Silent {
-			r.report(RunUpdate{Benchmark: lanes[i].Program.Name, Kind: Kind(lanes[i].ManagerKey), State: RunQueued})
+			r.report(RunUpdate{Benchmark: lanes[i].Program.Name, Kind: lanes[i].ManagerKey, State: RunQueued})
 		}
 	}
 	hit := make([]bool, len(owned))
@@ -702,7 +594,7 @@ func (r *Runner) simulateGroup(ctx context.Context, lanes []Lane, group []int) (
 			Audit:           l.Audit,
 		}
 		if r.Progress != nil && !l.Silent {
-			u := RunUpdate{Benchmark: p.Name, Kind: Kind(l.ManagerKey), State: RunSimulating}
+			u := RunUpdate{Benchmark: p.Name, Kind: l.ManagerKey, State: RunSimulating}
 			r.report(u)
 			cfgs[j].Progress = func(pr sim.Progress) {
 				u.Cycles, u.Translations, u.Total, u.Windows = pr.Cycle, pr.Translations, pr.MaxTranslations, pr.Windows

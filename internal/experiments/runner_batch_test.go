@@ -14,9 +14,9 @@ import (
 )
 
 // TestResultBatchMatchesResult pins the runner's batched path to the
-// solo path: every lane of a ResultSet — kinds, policies, and a
+// solo path: every lane of a ResultSet — policy templates, and a
 // duplicate lane sharing a flight — must be byte-identical to the
-// corresponding Result/PolicyResult from an independent runner, and the
+// corresponding one-lane ResultSet from an independent runner, and the
 // duplicate must not cost an extra simulation.
 func TestResultBatchMatchesResult(t *testing.T) {
 	if testing.Short() {
@@ -27,11 +27,11 @@ func TestResultBatchMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	lanes := []BatchRun{
-		{Kind: KindFullPower},
-		{Policy: "powerchop"},
-		{Policy: "timeout"},
-		{Kind: KindFullPower}, // duplicate: must await lane 0's flight
+	lanes := []Lane{
+		fullPower,
+		powerChop,
+		timeout,
+		fullPower, // duplicate: must await lane 0's flight
 	}
 
 	batchRunner := NewRunner(0.05)
@@ -50,12 +50,7 @@ func TestResultBatchMatchesResult(t *testing.T) {
 	soloRunner := NewRunner(0.05)
 	solo := make([]any, len(lanes))
 	for i, lane := range lanes {
-		if lane.Policy != "" {
-			solo[i], err = soloRunner.PolicyResult(ctx, b, lane.Policy, lane.Params)
-		} else {
-			solo[i], err = soloRunner.Result(ctx, b, lane.Kind)
-		}
-		if err != nil {
+		if solo[i], err = result(soloRunner, b, lane); err != nil {
 			t.Fatalf("lane %d solo: %v", i, err)
 		}
 	}
@@ -92,8 +87,8 @@ func TestResultBatchMatchesResult(t *testing.T) {
 		}
 	}
 
-	// An unknown policy fails the whole call before any work.
-	if _, err := batchRunner.ResultSet(ctx, []workload.Benchmark{b}, []BatchRun{{Policy: "no-such"}}); err == nil {
+	// An unknown policy has no template, so it fails before any work.
+	if _, err := policyLane("no-such", nil); err == nil {
 		t.Error("unknown policy lane accepted")
 	}
 }
@@ -109,7 +104,7 @@ func TestResultBatchSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	lanes := []BatchRun{{Kind: KindFullPower}, {Policy: "timeout"}}
+	lanes := []Lane{fullPower, timeout}
 
 	batched := NewRunner(0.05)
 	soloed := NewRunner(0.05)
@@ -177,6 +172,35 @@ func TestPolicyZooBatchesPerBenchmark(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesFiguresBatch pins Figures 2 and 3 to one run set each:
+// on a one-job runner each figure's two sampled lanes form one two-lane
+// group.
+func TestTimeSeriesFiguresBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are slow; skipped with -short")
+	}
+	ring := obs.NewRing(1 << 10)
+	ctx, root := span.Root(context.Background(), ring, "test", "")
+	r := NewParallelRunner(0.02, 1)
+	if _, err := Figure2(ctx, r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Figure3(ctx, r); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var groups []string
+	for _, e := range ring.Events() {
+		if e.Kind == obs.KindSpanBegin && (e.Unit == "benchbatch" || e.Unit == "benchmark") {
+			groups = append(groups, e.Unit+" "+e.Detail)
+		}
+	}
+	want := []string{"benchbatch bench=msn lanes=2", "benchbatch bench=GemsFDTD lanes=2"}
+	if strings.Join(groups, "; ") != strings.Join(want, "; ") {
+		t.Errorf("groups %q, want %q", groups, want)
+	}
+}
+
 // TestResultSetWarmCache drives a run set's parallel cache lookups: a
 // fresh two-job runner over a cache that a cold call filled must serve
 // every lane from it, simulate nothing, and return the cold results.
@@ -192,7 +216,7 @@ func TestResultSetWarmCache(t *testing.T) {
 		}
 		bs = append(bs, b)
 	}
-	runs := kindRuns(KindFullPower, KindPowerChop)
+	runs := []Lane{fullPower, powerChop}
 	dir := t.TempDir()
 	render := func() ([][]*sim.Result, *Runner, *rescache.Cache) {
 		r := NewParallelRunner(0.02, 2)

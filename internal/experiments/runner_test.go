@@ -2,21 +2,38 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
+	"powerchop/internal/core"
+	"powerchop/internal/sim"
 	"powerchop/internal/workload"
 )
 
-// allKinds is every run configuration the figures use.
-var allKinds = []Kind{
-	KindFullPower, KindPowerChop, KindMinPower, KindTimeout,
-	KindSmallBPU, KindMLCOne, KindChopVPU, KindChopBPU, KindChopMLC,
+// figureTemplates is every lane template the figures submit.
+var figureTemplates = []Lane{
+	fullPower, powerChop, minPower, timeout,
+	smallBPU, mlcOneWay, chopVPU, chopBPU, chopMLC,
+}
+
+// bogus is a template whose manager never builds.
+var bogus = Lane{ManagerKey: "bogus", Manager: func() (core.Manager, error) {
+	return nil, errors.New("bogus setup")
+}}
+
+// result runs one template on the benchmark through ResultSet.
+func result(r *Runner, b workload.Benchmark, l Lane) (*sim.Result, error) {
+	set, err := r.ResultSet(context.Background(), []workload.Benchmark{b}, []Lane{l})
+	if err != nil {
+		return nil, err
+	}
+	return set[0][0], nil
 }
 
 // TestResultSingleflight is the regression test for the duplicate-run
-// hole: concurrent Result calls for one key must simulate exactly once,
+// hole: concurrent ResultSet calls for one key must simulate exactly once,
 // with every caller receiving the same cached result.
 func TestResultSingleflight(t *testing.T) {
 	if testing.Short() {
@@ -38,7 +55,7 @@ func TestResultSingleflight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait() // maximize overlap
-			res, err := r.Result(context.Background(), b, KindFullPower)
+			res, err := result(r, b, fullPower)
 			results[i], errs[i] = res, err
 		}(i)
 	}
@@ -54,14 +71,14 @@ func TestResultSingleflight(t *testing.T) {
 		}
 	}
 	if n := r.Simulations(); n != 1 {
-		t.Fatalf("%d concurrent Result calls ran %d simulations, want 1", callers, n)
+		t.Fatalf("%d concurrent ResultSet calls ran %d simulations, want 1", callers, n)
 	}
 }
 
 // TestResultGoldenSerialVsParallel checks the parallel runner computes
-// exactly the serial runner's results: every Kind for one benchmark,
-// launched concurrently on a parallel runner, must deep-equal the same
-// runs done one at a time.
+// exactly the serial runner's results: every figure template on one
+// benchmark, launched concurrently on a parallel runner, must deep-equal
+// the same runs done one at a time.
 func TestResultGoldenSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are slow; skipped with -short")
@@ -72,38 +89,38 @@ func TestResultGoldenSerialVsParallel(t *testing.T) {
 	}
 
 	serial := NewParallelRunner(0.05, 1)
-	golden := make(map[Kind]interface{}, len(allKinds))
-	for _, k := range allKinds {
-		res, err := serial.Result(context.Background(), b, k)
+	golden := make(map[string]interface{}, len(figureTemplates))
+	for _, l := range figureTemplates {
+		res, err := result(serial, b, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden[k] = res
+		golden[l.ManagerKey] = res
 	}
 
 	par := NewParallelRunner(0.05, 8)
 	var wg sync.WaitGroup
-	got := make([]interface{}, len(allKinds))
-	errs := make([]error, len(allKinds))
-	for i, k := range allKinds {
+	got := make([]interface{}, len(figureTemplates))
+	errs := make([]error, len(figureTemplates))
+	for i, l := range figureTemplates {
 		wg.Add(1)
-		go func(i int, k Kind) {
+		go func(i int, l Lane) {
 			defer wg.Done()
-			got[i], errs[i] = par.Result(context.Background(), b, k)
-		}(i, k)
+			got[i], errs[i] = result(par, b, l)
+		}(i, l)
 	}
 	wg.Wait()
 
-	for i, k := range allKinds {
+	for i, l := range figureTemplates {
 		if errs[i] != nil {
-			t.Fatalf("%s: %v", k, errs[i])
+			t.Fatalf("%s: %v", l.ManagerKey, errs[i])
 		}
-		if !reflect.DeepEqual(got[i], golden[k]) {
-			t.Errorf("%s: parallel result differs from serial", k)
+		if !reflect.DeepEqual(got[i], golden[l.ManagerKey]) {
+			t.Errorf("%s: parallel result differs from serial", l.ManagerKey)
 		}
 	}
-	if n := par.Simulations(); n != uint64(len(allKinds)) {
-		t.Errorf("parallel runner ran %d simulations, want %d", n, len(allKinds))
+	if n := par.Simulations(); n != uint64(len(figureTemplates)) {
+		t.Errorf("parallel runner ran %d simulations, want %d", n, len(figureTemplates))
 	}
 }
 
@@ -115,11 +132,11 @@ func TestResultErrorNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Result(context.Background(), b, Kind("bogus")); err == nil {
-		t.Fatal("bogus kind ran")
+	if _, err := result(r, b, bogus); err == nil {
+		t.Fatal("bogus setup ran")
 	}
-	if _, err := r.Result(context.Background(), b, Kind("bogus")); err == nil {
-		t.Fatal("bogus kind cached as a success")
+	if _, err := result(r, b, bogus); err == nil {
+		t.Fatal("bogus setup cached as a success")
 	}
 	if n := r.Simulations(); n != 0 {
 		t.Fatalf("failed runs counted %d simulations", n)

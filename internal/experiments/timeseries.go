@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"powerchop/internal/sim"
 	"powerchop/internal/stats"
 	"powerchop/internal/textplot"
 	"powerchop/internal/workload"
@@ -34,20 +35,35 @@ func (t *TimeSeriesResult) Render() string {
 // sampleInterval for the time-series figures (guest instructions).
 const tsSampleInterval = 20000
 
+// sampled runs the benchmark under each template with time-series
+// sampling enabled, in one ResultSet call. The sample interval is part
+// of a lane's key, so sampled runs never alias the canonical run; they
+// stay silent on the progress board, which keys rows by manager.
+func sampled(ctx context.Context, r *Runner, bench string, templates ...Lane) ([]*sim.Result, error) {
+	b, err := workload.ByName(bench)
+	if err != nil {
+		return nil, err
+	}
+	for i := range templates {
+		templates[i].SampleInterval, templates[i].Silent = tsSampleInterval, true
+	}
+	set, err := r.ResultSet(ctx, []workload.Benchmark{b}, templates)
+	if err != nil {
+		return nil, err
+	}
+	return set[0], nil
+}
+
 // Figure1 reproduces the paper's Figure 1: vector-operation intensity over
 // the execution of gobmk, showing VPU criticality varying across phases
 // (including scarce-but-nonzero periods).
 func Figure1(ctx context.Context, r *Runner) (*TimeSeriesResult, error) {
-	b, err := workload.ByName("gobmk")
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.Sampled(ctx, b, KindFullPower, tsSampleInterval)
+	res, err := sampled(ctx, r, "gobmk", fullPower)
 	if err != nil {
 		return nil, err
 	}
 	vec := stats.Series{Label: "vector-ops"}
-	for _, s := range res.Samples {
+	for _, s := range res[0].Samples {
 		vec.Append(float64(s.VectorOps))
 	}
 	zero, nonzeroLow := 0, 0
@@ -75,24 +91,16 @@ func Figure1(ctx context.Context, r *Runner) (*TimeSeriesResult, error) {
 // large predictor wins overall, but during many phases the benefit is
 // negligible.
 func Figure2(ctx context.Context, r *Runner) (*TimeSeriesResult, error) {
-	b, err := workload.ByName("msn")
-	if err != nil {
-		return nil, err
-	}
-	large, err := r.Sampled(ctx, b, KindFullPower, tsSampleInterval)
-	if err != nil {
-		return nil, err
-	}
-	small, err := r.Sampled(ctx, b, KindSmallBPU, tsSampleInterval)
+	res, err := sampled(ctx, r, "msn", fullPower, smallBPU)
 	if err != nil {
 		return nil, err
 	}
 	largeS := stats.Series{Label: "large-bpu IPC"}
-	for _, s := range large.Samples {
+	for _, s := range res[0].Samples {
 		largeS.Append(s.IPC)
 	}
 	smallS := stats.Series{Label: "small-bpu IPC"}
-	for _, s := range small.Samples {
+	for _, s := range res[1].Samples {
 		smallS.Append(s.IPC)
 	}
 	return &TimeSeriesResult{
@@ -110,24 +118,16 @@ func Figure2(ctx context.Context, r *Runner) (*TimeSeriesResult, error) {
 // MLC vs the 128KB 1-way configuration. The full MLC only matters during
 // the phase whose working set fits it.
 func Figure3(ctx context.Context, r *Runner) (*TimeSeriesResult, error) {
-	b, err := workload.ByName("GemsFDTD")
-	if err != nil {
-		return nil, err
-	}
-	full, err := r.Sampled(ctx, b, KindFullPower, tsSampleInterval)
-	if err != nil {
-		return nil, err
-	}
-	oneWay, err := r.Sampled(ctx, b, KindMLCOne, tsSampleInterval)
+	res, err := sampled(ctx, r, "GemsFDTD", fullPower, mlcOneWay)
 	if err != nil {
 		return nil, err
 	}
 	fullS := stats.Series{Label: "1024KB 8-way IPC"}
-	for _, s := range full.Samples {
+	for _, s := range res[0].Samples {
 		fullS.Append(s.IPC)
 	}
 	oneS := stats.Series{Label: "128KB 1-way IPC"}
-	for _, s := range oneWay.Samples {
+	for _, s := range res[1].Samples {
 		oneS.Append(s.IPC)
 	}
 	return &TimeSeriesResult{

@@ -48,7 +48,7 @@ func (s *ShardResult) Render() string {
 // shards (Section V-E's motivation for criticality over idleness).
 func Figure15(ctx context.Context, r *Runner) (*ShardResult, error) {
 	bs := workload.All()
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower))
+	set, err := r.ResultSet(ctx, bs, []Lane{fullPower})
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func (t *TimeoutResult) Render() string {
 // the comparison isolates that unit, as the paper's study does.
 func Figure16(ctx context.Context, r *Runner) (*TimeoutResult, error) {
 	bs := workload.All()
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindChopVPU, KindTimeout))
+	set, err := r.ResultSet(ctx, bs, []Lane{chopVPU, timeout})
 	if err != nil {
 		return nil, err
 	}
@@ -167,9 +167,9 @@ func (p *PerUnitResult) Render() string {
 
 // PerUnit runs the per-unit isolation study for the given benchmarks.
 func PerUnit(ctx context.Context, r *Runner, bs []workload.Benchmark) (*PerUnitResult, error) {
-	// The full-power baseline, then one PowerChop kind per unit.
+	// The full-power baseline, then one PowerChop setup per unit.
 	units := []string{"VPU", "BPU", "MLC"}
-	set, err := r.ResultSet(ctx, bs, kindRuns(KindFullPower, KindChopVPU, KindChopBPU, KindChopMLC))
+	set, err := r.ResultSet(ctx, bs, []Lane{fullPower, chopVPU, chopBPU, chopMLC})
 	if err != nil {
 		return nil, err
 	}

@@ -547,8 +547,9 @@ type Snapshot struct {
 	// boundary evaluated.
 	Evals      uint64 `json:"evals"`
 	LastWindow uint64 `json:"last_window"`
-	// Transitions is the retained history, oldest first; Dropped counts
-	// older transitions evicted from it.
+	// Transitions is the retained history, oldest first, and empty (not
+	// null) before any rule changes state; Dropped counts older
+	// transitions evicted from it.
 	Transitions []Transition `json:"transitions"`
 	Dropped     uint64       `json:"dropped_transitions,omitempty"`
 	// FiredTotal counts firing transitions ever emitted.
@@ -564,7 +565,7 @@ func (ev *Evaluator) Snapshot() Snapshot {
 		LastWindow:  ev.lastBoundary,
 		Dropped:     ev.dropped,
 		FiredTotal:  ev.firedTotal,
-		Transitions: append([]Transition(nil), ev.history...),
+		Transitions: append([]Transition{}, ev.history...),
 	}
 	for _, rs := range ev.rules {
 		src := rs.rule.Expr.Series

@@ -39,7 +39,10 @@ func requirePlainFigures(t *testing.T, variant string, got []byte) {
 
 // TestRenderAllParallelByteIdentical is the pipeline's determinism gate:
 // at smoke scale, an 8-job render of every figure must be byte-identical
-// to a serial render.
+// to a serial render. Its cold render simulates each distinct lane once:
+// the figures' runs of registered policies are keyed by fingerprint, so
+// Figure 16 and the policy zoo share their timeout runs, and Figure 12
+// and the zoo their PowerChop runs.
 func TestRenderAllParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure renders are slow; skipped with -short")
@@ -49,10 +52,14 @@ func TestRenderAllParallelByteIdentical(t *testing.T) {
 			"runner concurrency is race-tested in internal/experiments")
 	}
 	var parallel bytes.Buffer
-	if err := NewFigureRunner(0.02, WithJobs(8)).RenderAll(&parallel); err != nil {
+	f := NewFigureRunner(0.02, WithJobs(8))
+	if err := f.RenderAll(&parallel); err != nil {
 		t.Fatal(err)
 	}
 	requirePlainFigures(t, "parallel", parallel.Bytes())
+	if n := f.runner.Simulations(); n != 325 {
+		t.Errorf("cold render simulated %d lanes, want 325", n)
+	}
 }
 
 // TestCompareParallelMatchesSerial checks Options.Parallelism changes

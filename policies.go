@@ -50,7 +50,7 @@ func PolicyNames() []string { return policy.Names() }
 // result-cache keys. It errors on an unknown policy, an unknown
 // parameter or an out-of-bounds value.
 func PolicyFingerprint(name string, params map[string]float64) (string, error) {
-	spec, _, err := resolvePolicy(Options{Manager: name, Params: params})
+	spec, err := resolvePolicy(name)
 	if err != nil {
 		return "", err
 	}

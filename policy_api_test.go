@@ -90,52 +90,6 @@ func TestRunParamErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyOptionFolding pins how the pre-registry option fields map
-// onto schema parameters: Thresholds shapes only the "powerchop"
-// policy, TimeoutCycles only "timeout", and explicit Params wins.
-func TestLegacyOptionFolding(t *testing.T) {
-	fp := func(o Options) string {
-		spec, params, err := resolvePolicy(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := spec.Fingerprint(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	// Thresholds and the equivalent Params fingerprint identically.
-	a := fp(Options{Thresholds: &Thresholds{VPU: 0.9}})
-	b := fp(Options{Params: map[string]float64{"vpu": 0.9}})
-	if a != b {
-		t.Fatalf("thresholds %q != params %q", a, b)
-	}
-	// Zero threshold fields keep defaults.
-	if got, want := fp(Options{Thresholds: &Thresholds{}}), fp(Options{}); got != want {
-		t.Fatalf("zero thresholds changed identity: %q vs %q", got, want)
-	}
-	// Thresholds never leak into other policies.
-	if got, want := fp(Options{Manager: ManagerEnergyMin, Thresholds: &Thresholds{VPU: 0.9}}),
-		fp(Options{Manager: ManagerEnergyMin}); got != want {
-		t.Fatalf("thresholds leaked into energy-min: %q vs %q", got, want)
-	}
-	// TimeoutCycles folds only onto the timeout policy.
-	if got, want := fp(Options{Manager: ManagerTimeout, TimeoutCycles: 5000}),
-		fp(Options{Manager: ManagerTimeout, Params: map[string]float64{"idle-cycles": 5000}}); got != want {
-		t.Fatalf("timeout folding: %q vs %q", got, want)
-	}
-	if got, want := fp(Options{TimeoutCycles: 5000}), fp(Options{}); got != want {
-		t.Fatalf("TimeoutCycles leaked into powerchop: %q vs %q", got, want)
-	}
-	// Params overlays last and wins over the legacy fields.
-	if got, want := fp(Options{Thresholds: &Thresholds{VPU: 0.9},
-		Params: map[string]float64{"vpu": 0.1}}),
-		fp(Options{Params: map[string]float64{"vpu": 0.1}}); got != want {
-		t.Fatalf("Params did not win over Thresholds: %q vs %q", got, want)
-	}
-}
-
 // TestRegistryManagersByteIdentical is the refactor's contract: for each
 // of the original five managers, a public Run (which now builds its
 // manager through the policy registry) must produce a Report

@@ -90,15 +90,8 @@ type Options struct {
 	// Params assigns values to the selected policy's registered
 	// parameters (see Policies for each policy's schema); unset
 	// parameters keep their defaults. Unknown names and out-of-bounds
-	// values fail the run. Params wins over the legacy Thresholds and
-	// TimeoutCycles fields when both name the same parameter.
+	// values fail the run.
 	Params map[string]float64
-	// Thresholds optionally overrides the PowerChop criticality
-	// thresholds (VPU, BPU, MLC1, MLC2); zero values keep the defaults.
-	Thresholds *Thresholds
-	// TimeoutCycles overrides the idle-timeout baseline's period
-	// (default 20000 cycles).
-	TimeoutCycles float64
 	// TraceWriter, when non-nil, receives the run's event trace as JSONL
 	// (one event per line; see DESIGN.md "Observability"). The stream is
 	// flushed when the run ends, so the lanes of a RunBatch, Compare or
@@ -167,11 +160,6 @@ type Options struct {
 	CacheDir string
 }
 
-// Thresholds mirrors the CDE criticality cut-offs.
-type Thresholds struct {
-	VPU, BPU, MLC1, MLC2 float64
-}
-
 // Run states reported through RunProgress.
 const (
 	StateQueued     = "queued"
@@ -185,10 +173,11 @@ const (
 // how far along the simulated clock has advanced.
 type RunProgress struct {
 	Benchmark string
-	// Kind is the run's configuration: the policy fingerprint for Run,
-	// RunBatch, Compare and Tune lanes (e.g. "timeout{idle-cycles=20000}",
-	// so every grid point of a sweep is its own row), the experiment
-	// kind (e.g. "full-power") for figure runs.
+	// Kind is the run's configuration: the policy fingerprint for every
+	// run of a registered policy, figure runs among them (e.g.
+	// "timeout{idle-cycles=20000}", so every grid point of a sweep is its
+	// own row), and the setup's name for the figures' study-only setups
+	// (e.g. "powerchop-vpu").
 	Kind  string
 	State string
 	// Cycles is the current simulated cycle count.
@@ -460,47 +449,18 @@ func SuiteOf(benchmark string) (string, error) {
 	return b.Suite, nil
 }
 
-// resolvePolicy maps Options onto the policy registry: the Manager
-// string selects a registered Spec, the legacy Thresholds/TimeoutCycles
-// fields fold onto their policies' schema parameters (preserving their
-// original scoping — thresholds only shaped the default PowerChop, the
-// timeout period only the timeout baseline), and Options.Params overlays
-// last, so explicit parameters always win.
-func resolvePolicy(o Options) (policy.Spec, policy.Params, error) {
-	name := o.Manager
+// resolvePolicy looks up a manager name (empty selects "powerchop") in
+// the policy registry.
+func resolvePolicy(manager string) (policy.Spec, error) {
+	name := manager
 	if name == "" {
 		name = ManagerPowerChop
 	}
 	spec, ok := policy.Lookup(name)
 	if !ok {
-		return policy.Spec{}, nil, fmt.Errorf("powerchop: unknown manager %q", o.Manager)
+		return policy.Spec{}, fmt.Errorf("powerchop: unknown manager %q", manager)
 	}
-	params := policy.Params{}
-	switch name {
-	case ManagerPowerChop:
-		if o.Thresholds != nil {
-			if o.Thresholds.VPU > 0 {
-				params["vpu"] = o.Thresholds.VPU
-			}
-			if o.Thresholds.BPU > 0 {
-				params["bpu"] = o.Thresholds.BPU
-			}
-			if o.Thresholds.MLC1 > 0 {
-				params["mlc1"] = o.Thresholds.MLC1
-			}
-			if o.Thresholds.MLC2 > 0 {
-				params["mlc2"] = o.Thresholds.MLC2
-			}
-		}
-	case ManagerTimeout:
-		if o.TimeoutCycles > 0 {
-			params["idle-cycles"] = o.TimeoutCycles
-		}
-	}
-	for k, v := range o.Params {
-		params[k] = v
-	}
-	return spec, params, nil
+	return spec, nil
 }
 
 // designFor resolves the design point.
@@ -561,11 +521,11 @@ func runOne(ctx context.Context, p *program.Program, b workload.Benchmark, opts 
 // validates the parameters, is the lane's manager key), run length and
 // observers, Telemetry among them as the store's own ingestor.
 func lane(p *program.Program, b workload.Benchmark, opts Options) (experiments.Lane, error) {
-	spec, params, err := resolvePolicy(opts)
+	spec, err := resolvePolicy(opts.Manager)
 	if err != nil {
 		return experiments.Lane{}, err
 	}
-	l, err := experiments.PolicyLane(spec, params)
+	l, err := experiments.PolicyLane(spec, opts.Params)
 	if err != nil {
 		return experiments.Lane{}, err
 	}

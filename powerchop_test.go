@@ -100,7 +100,7 @@ func TestThresholdOverride(t *testing.T) {
 		t.Skip("simulation runs are slow")
 	}
 	// A huge VPU threshold forces the VPU off even on vector-heavy milc.
-	rep, err := Run("milc", Options{Passes: 1, Thresholds: &Thresholds{VPU: 0.9}})
+	rep, err := Run("milc", Options{Passes: 1, Params: map[string]float64{"vpu": 0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}

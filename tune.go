@@ -25,10 +25,10 @@ type TuneOptions struct {
 	// slice pins the parameter to its default.
 	Grid map[string][]float64
 	// Options are the base run options (Arch, Passes, Cache, CacheDir,
-	// Parallelism...). Manager, Params, Thresholds and TimeoutCycles are
-	// ignored — the sweep sets them. Runs share Run's cache keys, so a
-	// warm result cache makes repeated sweeps near-instant and tuner
-	// points reconcile exactly with Run and Compare at the same values.
+	// Parallelism...). Manager and Params are ignored — the sweep sets
+	// them. Runs share Run's cache keys, so a warm result cache makes
+	// repeated sweeps near-instant and tuner points reconcile exactly
+	// with Run and Compare at the same values.
 	Options Options
 }
 
@@ -268,7 +268,7 @@ func TuneContext(ctx context.Context, opts TuneOptions) (res *TuneResult, err er
 
 	// Per benchmark: the full-power baseline, then every grid point.
 	base := opts.Options
-	base.Manager, base.Params, base.Thresholds, base.TimeoutCycles = "", nil, nil, 0
+	base.Manager, base.Params = "", nil
 	stride := len(grid) + 1
 	lanes := make([]experiments.Lane, 0, stride*len(benchmarks))
 	for _, bench := range benchmarks {
