@@ -350,3 +350,30 @@ func TestHeadlineBatchesPerBenchmark(t *testing.T) {
 		t.Errorf("cold headline ran %d batched groups and %d solo runs, want 29 and 0", groups, solo)
 	}
 }
+
+// TestTuneGridCeiling checks that a sweep above policy.MaxGridPoints is
+// rejected before its points are built: one axis too long, and axes
+// whose product is too large, fail with few allocations and no
+// simulation.
+func TestTuneGridCeiling(t *testing.T) {
+	long := make([]float64, policy.MaxGridPoints+1)
+	for i := range long {
+		long[i] = float64(i)
+	}
+	wide := long[:40] // 40^4 points over PowerChop's four thresholds
+	for name, grid := range map[string]map[string][]float64{
+		"axis":    {"vpu": long},
+		"product": {"vpu": wide, "bpu": wide, "mlc1": wide, "mlc2": wide},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() {
+			_, err = Tune(TuneOptions{Policy: ManagerPowerChop, Grid: grid})
+		})
+		if err == nil || !strings.Contains(err.Error(), "above the limit") {
+			t.Errorf("%s: err = %v, want the grid limit", name, err)
+		}
+		if allocs > 1000 {
+			t.Errorf("%s: rejecting the grid took %.0f allocations", name, allocs)
+		}
+	}
+}

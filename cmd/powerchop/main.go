@@ -347,7 +347,7 @@ func cmdRun(args []string) error {
 	var rep *powerchop.Report
 	runErr := withMonitor(a.httpAddr, os.Stderr, func(l *liveMonitor) {
 		a.opts.Tracer = l.tracer
-		a.opts.Progress = l.progress
+		a.opts.Progress = l.mon.Board().Update
 		a.attachCache(l.registry())
 	}, func() error {
 		return withTrace(&a, func() error {
@@ -404,7 +404,7 @@ func cmdCompare(args []string) error {
 	var c *powerchop.Comparison
 	runErr := withMonitor(a.httpAddr, os.Stderr, func(l *liveMonitor) {
 		a.opts.Tracer = l.tracer
-		a.opts.Progress = l.progress
+		a.opts.Progress = l.mon.Board().Update
 		a.attachCache(l.registry())
 	}, func() error {
 		return withTrace(&a, func() error {
@@ -634,7 +634,7 @@ func figureRunnerFlags(name string, args []string) (runner *powerchop.FigureRunn
 		l := newLiveMonitor()
 		opts = append(opts,
 			powerchop.WithTracer(l.tracer),
-			powerchop.WithProgress(l.progress),
+			powerchop.WithProgress(l.mon.Board().Update),
 		)
 		if err := l.start(*httpAddr, os.Stderr); err != nil {
 			return nil, "", nil, nil, err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,5 +166,38 @@ func TestCmdTraceMissingFile(t *testing.T) {
 	}
 	if _, ok := err.(usageError); !ok {
 		t.Fatalf("missing file is %T, want usageError", err)
+	}
+}
+
+// TestCmdExplainJSON checks `explain -json` prints the audit trail in
+// its own schema, the one /decisions?format=json serves: the pricing
+// context and, in every decision, the policy's decoded text next to its
+// code.
+func TestCmdExplainJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a benchmark; skipped with -short")
+	}
+	var out bytes.Buffer
+	if err := cmdExplain([]string{"-bench", "gobmk", "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		ClockHz   *float64         `json:"clock_hz"`
+		Units     []string         `json:"units"`
+		Decisions []map[string]any `json:"decisions"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("explain -json: %v\n%s", err, out.String())
+	}
+	if doc.ClockHz == nil || *doc.ClockHz <= 0 || len(doc.Units) == 0 || len(doc.Decisions) == 0 {
+		t.Fatalf("explain -json lacks the trail's keys:\n%s", out.String())
+	}
+	for i, d := range doc.Decisions {
+		if _, ok := d["policy_str"].(string); !ok {
+			t.Errorf("decision %d has no policy_str: %v", i, d)
+		}
+		if _, ok := d["policy"].(float64); !ok {
+			t.Errorf("decision %d has no policy code: %v", i, d)
+		}
 	}
 }

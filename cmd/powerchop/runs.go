@@ -84,34 +84,13 @@ func runsList(store *runlog.Store, f runlog.Filter, asJSON bool, stdout io.Write
 	}
 	rows := make([][]string, 0, len(recs))
 	for _, rec := range recs {
-		rows = append(rows, runRow(rec))
+		rows = append(rows, rec.Row())
 	}
-	fmt.Fprint(stdout, textplot.Table(
-		[]string{"time", "kind", "name", "duration", "cache", "outcome"}, rows))
+	fmt.Fprint(stdout, textplot.Table(runlog.Columns, rows))
 	if corrupt > 0 {
 		fmt.Fprintf(stdout, "(%d corrupt journal lines skipped)\n", corrupt)
 	}
 	return nil
-}
-
-// runRow renders one record as a history-table row.
-func runRow(rec runlog.Record) []string {
-	cache := ""
-	if rec.CacheHits+rec.CacheMisses > 0 {
-		cache = fmt.Sprintf("%d/%d", rec.CacheHits, rec.CacheHits+rec.CacheMisses)
-	}
-	outcome := rec.Outcome
-	if rec.Error != "" {
-		outcome += ": " + rec.Error
-	}
-	return []string{
-		rec.Time.Local().Format("2006-01-02 15:04:05"),
-		rec.Kind,
-		rec.Name,
-		fmt.Sprintf("%.0fms", rec.DurationMS),
-		cache,
-		outcome,
-	}
 }
 
 // runsShow prints the newest matching record in full detail.
@@ -130,7 +109,7 @@ func runsShow(store *runlog.Store, f runlog.Filter, asJSON bool, stdout io.Write
 		enc.SetIndent("", "  ")
 		return enc.Encode(rec)
 	}
-	fmt.Fprintf(stdout, "time:        %s\n", rec.Time.Local().Format(time.RFC3339))
+	fmt.Fprintf(stdout, "time:        %s\n", rec.Time.UTC().Format(time.RFC3339))
 	fmt.Fprintf(stdout, "kind:        %s\n", rec.Kind)
 	fmt.Fprintf(stdout, "name:        %s\n", rec.Name)
 	if rec.Params != "" {
@@ -167,7 +146,7 @@ func runsTail(store *runlog.Store, f runlog.Filter, asJSON bool, stdout io.Write
 			fmt.Fprintf(stdout, "%s\n", b)
 			return
 		}
-		row := runRow(rec)
+		row := rec.Row()
 		fmt.Fprintf(stdout, "%s  %-8s %-12s %10s %8s  %s\n",
 			row[0], row[1], row[2], row[3], row[4], row[5])
 	}

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -11,6 +15,7 @@ import (
 	"time"
 
 	"powerchop/internal/obs/runlog"
+	"powerchop/internal/obs/serve"
 )
 
 // seedHistory journals a few records into dir as a prior process would.
@@ -94,6 +99,46 @@ func TestCmdRunsShow(t *testing.T) {
 	}
 	if err := cmdRuns([]string{"show", "-cache", dir, "-name", "nonexistent"}, &out); err == nil {
 		t.Error("show with no match succeeded")
+	}
+}
+
+// TestRunsRowOneZone checks that `powerchop runs` and the /runs board
+// print a record written at a non-local offset as the same UTC time.
+func TestRunsRowOneZone(t *testing.T) {
+	finished := time.Date(2026, 8, 8, 23, 30, 0, 0, time.UTC)
+	_, local := finished.In(time.Local).Zone()
+	written := finished.In(time.FixedZone("elsewhere", local+5*3600+1800))
+	want := "2026-08-08 23:30:00"
+
+	dir := t.TempDir()
+	store, err := runlog.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(runlog.Record{Time: written, Kind: "run", Name: "namd"}); err != nil {
+		t.Fatal(err)
+	}
+
+	var cli bytes.Buffer
+	if err := cmdRuns([]string{"-cache", dir}, &cli); err != nil {
+		t.Fatal(err)
+	}
+	m := serve.NewMonitor(nil)
+	defer m.Shutdown(context.Background())
+	m.SetRunLog(store)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+
+	for surface, out := range map[string]string{"runs list": cli.String(), "/runs": string(board)} {
+		if !strings.Contains(out, want) {
+			t.Errorf("%s does not show the record at %s UTC:\n%s", surface, want, out)
+		}
 	}
 }
 

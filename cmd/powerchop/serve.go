@@ -25,9 +25,9 @@ import (
 	"powerchop/internal/rescache"
 )
 
-// liveMonitor bundles a serve.Monitor with the tracer and progress
-// callback that feed it, ready to plug into powerchop.Options or
-// FigureRunner options.
+// liveMonitor bundles a serve.Monitor with the tracer that feeds it,
+// ready to plug into powerchop.Options or FigureRunner options next to
+// the board's Update method as the progress callback.
 type liveMonitor struct {
 	mon       *serve.Monitor
 	tracer    obs.Tracer
@@ -64,20 +64,6 @@ func newLiveMonitor() *liveMonitor {
 // registry exposes the monitor's metrics registry so extra instrument
 // sources (the result cache's counters) can surface on /metrics.
 func (l *liveMonitor) registry() *obs.Registry { return l.reg }
-
-// progress adapts RunProgress reports onto the monitor's board.
-func (l *liveMonitor) progress(p powerchop.RunProgress) {
-	l.mon.Board().Update(serve.RunUpdate{
-		Benchmark:    p.Benchmark,
-		Kind:         p.Kind,
-		State:        p.State,
-		Cycles:       p.Cycles,
-		Translations: p.Translations,
-		Total:        p.Total,
-		Elapsed:      p.Elapsed,
-		Err:          p.Err,
-	})
-}
 
 // start listens on addr and prints where the endpoints live.
 func (l *liveMonitor) start(addr string, stderr io.Writer) error {
@@ -161,13 +147,18 @@ func (a *apiRecorder) begin(r *http.Request, kind, name, params string) func(err
 //	GET /api/figure?id=ID    render one figure (text; simulates on demand)
 //	GET /api/headline        per-suite headline averages (JSON)
 //	GET /api/run?bench=NAME[&manager=M]  simulate one benchmark (JSON report)
-//	GET /api/explain?bench=NAME[&manager=M]  simulate with audit on, return the provenance report (JSON)
+//	GET /api/explain?bench=NAME[&manager=M]  simulate with audit on, return its audit trail (JSON)
 //
-// Figure and run requests execute through the shared runner, so their
-// simulations show up live on /progress, /metrics and /events; every
-// route is mounted through the monitor's middleware (request IDs, RED
-// metrics, access logs, panic recovery), carries the request context so
-// spans nest under the HTTP request, and journals a run-history record.
+// Figure and headline requests execute through the shared runner, so
+// they share its job slots (-jobs) and result cache (-cache). Run and
+// explain requests do not: each builds its own one-job runner through
+// powerchop.RunContext, so -jobs does not bound them and -cache is never
+// consulted for them. Every simulation reports to the same tracer and
+// board, so all of them show up live on /progress, /metrics and
+// /events. Every route is mounted through the monitor's middleware
+// (request IDs, RED metrics, access logs, panic recovery), carries the
+// request context so spans nest under the HTTP request, and journals a
+// run-history record.
 func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) {
 	mount := l.mon.Mount
 	writeJSON := func(w http.ResponseWriter, v any) {
@@ -244,7 +235,7 @@ func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) 
 		rep, err := powerchop.RunContext(r.Context(), bench, powerchop.Options{
 			Manager:  manager,
 			Tracer:   l.tracer,
-			Progress: l.progress,
+			Progress: l.mon.Board().Update,
 		})
 		done(err)
 		if err != nil {
@@ -264,7 +255,7 @@ func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) 
 		rep, err := powerchop.RunContext(r.Context(), bench, powerchop.Options{
 			Manager:  manager,
 			Tracer:   l.tracer,
-			Progress: l.progress,
+			Progress: l.mon.Board().Update,
 			Audit:    true,
 		})
 		done(err)
@@ -309,7 +300,7 @@ func newServeMonitor(scale float64, jobs int, cacheDir string, sinks ...obs.Trac
 	opts := []powerchop.FigureOption{
 		powerchop.WithJobs(jobs),
 		powerchop.WithTracer(l.tracer),
-		powerchop.WithProgress(l.progress),
+		powerchop.WithProgress(l.mon.Board().Update),
 	}
 	if cache != nil {
 		opts = append(opts, powerchop.WithCache(cache))

@@ -172,7 +172,9 @@ func TestServeMonitorAPI(t *testing.T) {
 }
 
 // TestServeAPIRun runs a real (tiny) benchmark through /api/run and
-// checks the report comes back and the board saw the run.
+// /api/explain and checks the report comes back, the board's done rows
+// carry their window counts, and the explain response is the trail in
+// the schema /decisions?format=json serves on the same monitor.
 func TestServeAPIRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a benchmark; skipped with -short")
@@ -184,27 +186,99 @@ func TestServeAPIRun(t *testing.T) {
 	srv := httptest.NewServer(l.mon.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/run?bench=namd")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, body)
+		}
+		return body
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/run: %d %s", resp.StatusCode, body)
-	}
+
 	var rep struct {
 		Benchmark string
 		Cycles    float64
 	}
-	if err := json.Unmarshal(body, &rep); err != nil {
+	if err := json.Unmarshal(get("/api/run?bench=namd"), &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Benchmark != "namd" || rep.Cycles <= 0 {
 		t.Fatalf("report: %+v", rep)
 	}
 	snap := l.mon.Board().Snapshot()
-	if len(snap.Runs) == 0 || snap.Counts[serve.StateDone] == 0 {
+	if len(snap.Runs) == 0 || snap.Counts[obs.StateDone] == 0 {
 		t.Fatalf("board after /api/run: %+v", snap)
 	}
+	var progress struct {
+		Runs []map[string]any `json:"runs"`
+	}
+	if err := json.Unmarshal(get("/progress"), &progress); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range progress.Runs {
+		if w, _ := row["windows"].(float64); row["state"] == obs.StateDone && w <= 0 {
+			t.Errorf("/progress done row without windows: %v", row)
+		}
+	}
+
+	explained := jsonKeys(t, get("/api/explain?bench=namd"))
+	snapshot := jsonKeys(t, get("/decisions?format=json"))
+	// The per-run auditor owns its registry and embeds the histograms;
+	// the monitor's auditor files them in the monitor's registry.
+	for k := range explained {
+		if k == "metrics" || strings.HasPrefix(k, "metrics.") {
+			delete(explained, k)
+		}
+	}
+	for _, want := range []string{"clock_hz", "units", "decisions[].policy_str", "phases[].policy"} {
+		if !explained[want] {
+			t.Errorf("/api/explain lacks %q", want)
+		}
+	}
+	for k := range explained {
+		if !snapshot[k] {
+			t.Errorf("/api/explain key %q missing from /decisions?format=json", k)
+		}
+	}
+	for k := range snapshot {
+		if !explained[k] {
+			t.Errorf("/decisions?format=json key %q missing from /api/explain", k)
+		}
+	}
+}
+
+// jsonKeys returns every key path of a JSON document: object keys
+// joined by dots, array elements merged under "[]".
+func jsonKeys(t *testing.T, doc []byte) map[string]bool {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(doc, &v); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, doc)
+	}
+	keys := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, child := range v {
+				path := k
+				if prefix != "" {
+					path = prefix + "." + k
+				}
+				keys[path] = true
+				walk(path, child)
+			}
+		case []any:
+			for _, child := range v {
+				walk(prefix+"[]", child)
+			}
+		}
+	}
+	walk("", v)
+	return keys
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"powerchop"
+	"powerchop/internal/policy"
 )
 
 // cmdPolicies lists the registered gating policies with their parameter
@@ -39,7 +40,8 @@ func cmdPolicies(args []string, stdout io.Writer) error {
 }
 
 // gridFlag parses repeatable -grid PARAM=LO:HI:STEPS or PARAM=V1,V2,...
-// entries into per-parameter value lists.
+// entries into per-parameter value lists of at most
+// policy.MaxGridPoints values, checked before a range expands.
 type gridFlag map[string][]float64
 
 func (g gridFlag) String() string { return "" }
@@ -57,6 +59,9 @@ func (g *gridFlag) Set(s string) error {
 		if err1 != nil || err2 != nil || err3 != nil || steps < 1 {
 			return fmt.Errorf("bad range %q (want LO:HI:STEPS)", spec)
 		}
+		if steps > policy.MaxGridPoints {
+			return fmt.Errorf("range %q has %d steps, above the limit of %d", spec, steps, policy.MaxGridPoints)
+		}
 		if steps == 1 {
 			vals = []float64{lo}
 		} else {
@@ -65,6 +70,9 @@ func (g *gridFlag) Set(s string) error {
 			}
 		}
 	} else {
+		if n := strings.Count(spec, ",") + 1; n > policy.MaxGridPoints {
+			return fmt.Errorf("list for %s has %d values, above the limit of %d", name, n, policy.MaxGridPoints)
+		}
 		for _, p := range strings.Split(spec, ",") {
 			v, err := strconv.ParseFloat(p, 64)
 			if err != nil {
@@ -144,7 +152,7 @@ func cmdTune(args []string, stdout io.Writer) error {
 	start := time.Now()
 	var res *powerchop.TuneResult
 	runErr := withMonitor(*httpAddr, os.Stderr, func(l *liveMonitor) {
-		sinks = append(sinks, l.progress)
+		sinks = append(sinks, l.mon.Board().Update)
 		if c, err := openCache(*cacheDir, l.registry()); err == nil && c != nil {
 			opts.Options.Cache = c
 			cache = c

@@ -116,11 +116,10 @@ func TestExplainAlgorithm1Reproduction(t *testing.T) {
 	if rep.Audit == nil {
 		t.Fatal("no audit trail on report")
 	}
-	trail := rep.Audit.trail
 	thr := cde.DefaultThresholds()
 
 	computed := 0
-	for _, d := range trail.Decisions {
+	for _, d := range rep.Audit.Decisions {
 		if d.Path != "computed" {
 			continue
 		}
@@ -173,10 +172,10 @@ func TestExplainAlgorithm1Reproduction(t *testing.T) {
 	// profiled (PVT misses, no registration yet) and inherited residual
 	// gating from the preceding policy at the miss boundary.
 	recorded := make(map[string]bool)
-	for _, d := range trail.Decisions {
+	for _, d := range rep.Audit.Decisions {
 		recorded[d.Phase] = true
 	}
-	for _, p := range trail.Phases {
+	for _, p := range rep.Audit.Phases {
 		var gated float64
 		for _, g := range p.GatedCycles {
 			gated += g

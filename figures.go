@@ -10,6 +10,7 @@ import (
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/span"
 	"powerchop/internal/rescache"
+	"powerchop/internal/stats"
 	"powerchop/internal/workload"
 )
 
@@ -97,31 +98,8 @@ func NewFigureRunner(scale float64, opts ...FigureOption) *FigureRunner {
 	r.Tracer = c.tracer
 	r.Cache = c.cache
 	r.Batch = c.batch
-	if c.progress != nil {
-		r.Progress = progressSink(c.progress)
-	}
+	r.Progress = c.progress
 	return &FigureRunner{runner: r, jobs: r.Jobs()}
-}
-
-// progressSink adapts a RunProgress callback to the runner's update
-// stream.
-func progressSink(fn func(RunProgress)) experiments.ProgressSink {
-	return experiments.ProgressFunc(func(u experiments.RunUpdate) {
-		rp := RunProgress{
-			Benchmark:    u.Benchmark,
-			Kind:         u.Kind,
-			State:        string(u.State),
-			Cycles:       u.Cycles,
-			Translations: u.Translations,
-			Total:        u.Total,
-			Windows:      u.Windows,
-			Elapsed:      u.Elapsed,
-		}
-		if u.Err != nil {
-			rp.Err = u.Err.Error()
-		}
-		fn(rp)
-	})
 }
 
 // figureSpec describes one renderable experiment.
@@ -363,22 +341,12 @@ func (f *FigureRunner) HeadlineContext(ctx context.Context) ([]SuiteAverages, er
 		slows[row.Suite] = append(slows[row.Suite], 1-row.PowerChop)
 		slows["all"] = append(slows["all"], 1-row.PowerChop)
 	}
-	mean := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		if len(xs) == 0 {
-			return 0
-		}
-		return s / float64(len(xs))
-	}
 	var out []SuiteAverages
 	suites := append(workload.Suites(), "all")
 	for _, s := range suites {
 		out = append(out, SuiteAverages{
 			Suite:      s,
-			Slowdown:   mean(slows[s]),
+			Slowdown:   stats.Mean(slows[s]),
 			PowerRed:   pwr.AvgPower[s],
 			EnergyRed:  pwr.AvgEnergy[s],
 			LeakageRed: pwr.AvgLeakage[s],

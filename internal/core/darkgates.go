@@ -82,8 +82,6 @@ type DarkGates struct {
 	// marks the previous window boundary.
 	ewmaWindowCycles float64
 	lastCycle        float64
-
-	bypasses uint64
 }
 
 // NewDarkGates builds the manager.
@@ -115,9 +113,6 @@ func (d *DarkGates) Boot() Directive { return d.inner.Boot() }
 
 // Unwrap exposes the inner PowerChop (PVT/CDE reporting).
 func (d *DarkGates) Unwrap() *PowerChop { return d.inner }
-
-// Bypasses returns how many per-unit gating decisions were bypassed.
-func (d *DarkGates) Bypasses() uint64 { return d.bypasses }
 
 // SetTracer threads the tracer into the wrapped PowerChop.
 func (d *DarkGates) SetTracer(t obs.Tracer) { d.inner.SetTracer(t) }
@@ -154,19 +149,16 @@ func (d *DarkGates) filter(cur, want pvt.Policy, horizon float64) pvt.Policy {
 	if !want.VPUOn && cur.VPUOn &&
 		!d.approve(c.LeakVPUW, 1, 0, c.TripVPU, horizon) {
 		want.VPUOn = true
-		d.bypasses++
 	}
 	if !want.BPUOn && cur.BPUOn &&
 		!d.approve(c.LeakBPUW, 1, c.OffFracBPU, c.TripBPU, horizon) {
 		want.BPUOn = true
-		d.bypasses++
 	}
 	curFrac := cur.MLC.PowerFrac(c.MLCWays)
 	wantFrac := want.MLC.PowerFrac(c.MLCWays)
 	if wantFrac < curFrac &&
 		!d.approve(c.LeakMLCW, curFrac, wantFrac, c.TripMLC, horizon) {
 		want.MLC = cur.MLC
-		d.bypasses++
 	}
 	return want
 }

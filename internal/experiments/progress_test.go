@@ -4,25 +4,26 @@ import (
 	"sync"
 	"testing"
 
+	"powerchop/internal/obs"
 	"powerchop/internal/workload"
 )
 
 // recordingSink captures every RunUpdate, safe for concurrent emission.
 type recordingSink struct {
 	mu      sync.Mutex
-	updates []RunUpdate
+	updates []obs.RunUpdate
 }
 
-func (s *recordingSink) RunUpdate(u RunUpdate) {
+func (s *recordingSink) record(u obs.RunUpdate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.updates = append(s.updates, u)
 }
 
-func (s *recordingSink) all() []RunUpdate {
+func (s *recordingSink) all() []obs.RunUpdate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]RunUpdate(nil), s.updates...)
+	return append([]obs.RunUpdate(nil), s.updates...)
 }
 
 // TestRunnerProgressLifecycle drives one run and checks the sink sees the
@@ -34,7 +35,7 @@ func TestRunnerProgressLifecycle(t *testing.T) {
 	}
 	sink := &recordingSink{}
 	r := NewParallelRunner(0.05, 2)
-	r.Progress = sink
+	r.Progress = sink.record
 	b, err := workload.ByName("namd")
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +49,11 @@ func TestRunnerProgressLifecycle(t *testing.T) {
 	if len(ups) < 3 {
 		t.Fatalf("only %d updates for a full lifecycle", len(ups))
 	}
-	if ups[0].State != RunQueued || ups[1].State != RunSimulating {
+	if ups[0].State != obs.StateQueued || ups[1].State != obs.StateSimulating {
 		t.Fatalf("lifecycle starts %v, %v", ups[0].State, ups[1].State)
 	}
 	last := ups[len(ups)-1]
-	if last.State != RunDone || last.Elapsed <= 0 {
+	if last.State != obs.StateDone || last.Elapsed <= 0 {
 		t.Fatalf("final update = %+v", last)
 	}
 	if last.Cycles != res.Cycles || last.Windows != res.Windows {
@@ -63,14 +64,14 @@ func TestRunnerProgressLifecycle(t *testing.T) {
 		if u.Benchmark != "namd" || u.Kind != powerChop.ManagerKey {
 			t.Fatalf("update %d for wrong run: %+v", i, u)
 		}
-		if u.State == RunSimulating && u.Translations > 0 && u.Total == 0 {
+		if u.State == obs.StateSimulating && u.Translations > 0 && u.Total == 0 {
 			t.Fatalf("update %d has translations without a budget: %+v", i, u)
 		}
 	}
 	// In-flight updates advance monotonically.
 	var cyc float64
 	for _, u := range ups[:len(ups)-1] {
-		if u.State == RunSimulating && u.Cycles > 0 {
+		if u.State == obs.StateSimulating && u.Cycles > 0 {
 			if u.Cycles < cyc {
 				t.Fatalf("cycles regressed: %v after %v", u.Cycles, cyc)
 			}
@@ -88,11 +89,11 @@ func TestRunnerProgressLifecycle(t *testing.T) {
 	}
 }
 
-// TestRunnerProgressError checks a failing run reports RunError.
+// TestRunnerProgressError checks a failing run reports StateError.
 func TestRunnerProgressError(t *testing.T) {
 	sink := &recordingSink{}
 	r := NewParallelRunner(0.05, 1)
-	r.Progress = sink
+	r.Progress = sink.record
 	bad := workload.Benchmark{Name: "broken"}
 	if _, err := result(r, bad, bogus); err == nil {
 		t.Fatal("bogus run succeeded")
@@ -102,7 +103,7 @@ func TestRunnerProgressError(t *testing.T) {
 		t.Fatal("no updates for failed run")
 	}
 	last := ups[len(ups)-1]
-	if last.State != RunError || last.Err == nil {
+	if last.State != obs.StateError || last.Err == "" {
 		t.Fatalf("final update for failed run = %+v", last)
 	}
 }
@@ -123,7 +124,7 @@ func TestRunnerProgressDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	observed := NewParallelRunner(0.05, 1)
-	observed.Progress = &recordingSink{}
+	observed.Progress = (&recordingSink{}).record
 	got, err := result(observed, b, powerChop)
 	if err != nil {
 		t.Fatal(err)

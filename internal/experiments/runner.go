@@ -66,9 +66,11 @@ type Runner struct {
 	// Progress, when non-nil, receives run lifecycle updates: queued when
 	// a flight is registered, simulating once it holds a job slot (then
 	// again at every window boundary with live counters), and done or
-	// error at completion. Like Tracer, set it before the first call;
-	// implementations must be safe for concurrent use.
-	Progress ProgressSink
+	// error at completion. Updates for different runs arrive
+	// concurrently (one goroutine per simulation group), so the callback
+	// must be safe for concurrent use. Like Tracer it is a pure observer
+	// and must be set before the first call.
+	Progress func(obs.RunUpdate)
 
 	// Cache, when non-nil, is a persistent result store consulted before
 	// each simulation and filled after it: a hit skips the run entirely
@@ -139,9 +141,9 @@ func (r *Runner) runLength(schedule int) uint64 {
 	return n
 }
 
-// designFor picks the benchmark's design point: MobileBench runs on the
+// DesignFor picks the benchmark's design point: MobileBench runs on the
 // mobile core, everything else on the server core (Section V-A).
-func designFor(b workload.Benchmark) arch.Design {
+func DesignFor(b workload.Benchmark) arch.Design {
 	if b.Mobile {
 		return arch.Mobile()
 	}
@@ -330,7 +332,7 @@ func (r *Runner) ResultSet(ctx context.Context, bs []workload.Benchmark, templat
 		}
 		for _, l := range templates {
 			if !l.Silent {
-				r.report(RunUpdate{Benchmark: bs[i].Name, Kind: l.ManagerKey, State: RunError, Err: errs[i]})
+				r.report(obs.RunUpdate{Benchmark: bs[i].Name, Kind: l.ManagerKey, State: obs.StateError, Err: errs[i].Error()})
 			}
 		}
 	})
@@ -371,7 +373,7 @@ func (r *Runner) template(b workload.Benchmark) (Lane, error) {
 	if err != nil {
 		return Lane{}, err
 	}
-	t = Lane{Program: p, Design: designFor(b), RunLen: r.runLength(p.TotalScheduleTranslations())}
+	t = Lane{Program: p, Design: DesignFor(b), RunLen: r.runLength(p.TotalScheduleTranslations())}
 	t.digest, t.design = t.hash()
 	r.mu.Lock()
 	r.benches[b.Name] = t
@@ -435,9 +437,9 @@ func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
 			r.mu.Unlock()
 		}
 		if !l.Silent {
-			u := RunUpdate{Benchmark: l.Program.Name, Kind: l.ManagerKey, State: RunDone, Elapsed: time.Since(started)}
+			u := obs.RunUpdate{Benchmark: l.Program.Name, Kind: l.ManagerKey, State: obs.StateDone, Elapsed: time.Since(started)}
 			if err != nil {
-				u.State, u.Err = RunError, err
+				u.State, u.Err = obs.StateError, err.Error()
 			} else {
 				u.Cycles, u.Windows = res.Cycles, res.Windows
 				u.Translations, u.Total = l.RunLen, l.RunLen
@@ -449,7 +451,7 @@ func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
 
 	for _, i := range owned {
 		if !lanes[i].Silent {
-			r.report(RunUpdate{Benchmark: lanes[i].Program.Name, Kind: lanes[i].ManagerKey, State: RunQueued})
+			r.report(obs.RunUpdate{Benchmark: lanes[i].Program.Name, Kind: lanes[i].ManagerKey, State: obs.StateQueued})
 		}
 	}
 	hit := make([]bool, len(owned))
@@ -498,6 +500,13 @@ func (r *Runner) Run(ctx context.Context, lanes []Lane) ([]*sim.Result, error) {
 		out[i] = f.res
 	}
 	return out, nil
+}
+
+// report delivers an update to the runner's progress callback, if any.
+func (r *Runner) report(u obs.RunUpdate) {
+	if r.Progress != nil {
+		r.Progress(u)
+	}
 }
 
 // each calls f for every index below n on up to Jobs() goroutines, the
@@ -594,7 +603,7 @@ func (r *Runner) simulateGroup(ctx context.Context, lanes []Lane, group []int) (
 			Audit:           l.Audit,
 		}
 		if r.Progress != nil && !l.Silent {
-			u := RunUpdate{Benchmark: p.Name, Kind: l.ManagerKey, State: RunSimulating}
+			u := obs.RunUpdate{Benchmark: p.Name, Kind: l.ManagerKey, State: obs.StateSimulating}
 			r.report(u)
 			cfgs[j].Progress = func(pr sim.Progress) {
 				u.Cycles, u.Translations, u.Total, u.Windows = pr.Cycle, pr.Translations, pr.MaxTranslations, pr.Windows

@@ -54,6 +54,33 @@ type Record struct {
 	Error   string `json:"error,omitempty"`
 }
 
+// Columns heads the run-history table whose rows Row renders.
+var Columns = []string{"time (UTC)", "kind", "name", "duration", "cache", "outcome"}
+
+// Row renders the record as one run-history table row, the one the
+// /runs board and `powerchop runs` print: the finish time in UTC, so
+// every surface shows one zone whatever offset the record was written
+// with; kind and name; the duration; cache hits over lookups (empty
+// when the work made none); and the outcome with any error.
+func (r Record) Row() []string {
+	cache := ""
+	if r.CacheHits+r.CacheMisses > 0 {
+		cache = fmt.Sprintf("%d/%d", r.CacheHits, r.CacheHits+r.CacheMisses)
+	}
+	outcome := r.Outcome
+	if r.Error != "" {
+		outcome += ": " + r.Error
+	}
+	return []string{
+		r.Time.UTC().Format(time.DateTime),
+		r.Kind,
+		r.Name,
+		fmt.Sprintf("%.0fms", r.DurationMS),
+		cache,
+		outcome,
+	}
+}
+
 // Filter selects records from a List scan. Zero fields match anything.
 type Filter struct {
 	// Kind/Name/Outcome match the records' fields exactly.

@@ -1,46 +1,25 @@
 package serve
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"time"
-)
 
-// Run states reported on the progress board. They mirror the runner's
-// lifecycle: a run is queued when registered, simulating once it holds a
-// worker slot, and done or error when it completes.
-const (
-	StateQueued     = "queued"
-	StateSimulating = "simulating"
-	StateDone       = "done"
-	StateError      = "error"
+	"powerchop/internal/obs"
 )
-
-// RunUpdate is one progress report about a (benchmark, kind) run. Updates
-// are partial: zero-valued numeric fields leave the board's previous
-// values in place, so a bare state transition does not erase the cycle
-// counts reported earlier.
-type RunUpdate struct {
-	Benchmark    string        `json:"benchmark"`
-	Kind         string        `json:"kind"`
-	State        string        `json:"state"`
-	Cycles       float64       `json:"cycles,omitempty"`
-	Translations uint64        `json:"translations,omitempty"`
-	Total        uint64        `json:"total,omitempty"` // translation budget for the run
-	Elapsed      time.Duration `json:"-"`
-	Err          string        `json:"error,omitempty"`
-}
 
 // boardRow is the board's retained state for one run.
 type boardRow struct {
-	RunUpdate
+	obs.RunUpdate
 	started time.Time // wall clock at transition to simulating
 	elapsed time.Duration
 }
 
-// Board aggregates RunUpdates into a point-in-time JSON snapshot served
-// at /progress. Safe for concurrent use.
+// Board aggregates obs.RunUpdates into a point-in-time JSON snapshot
+// served at /progress. Updates are partial: zero-valued numeric fields
+// leave the board's previous values in place, so a bare state
+// transition does not erase the counts reported earlier. Safe for
+// concurrent use.
 type Board struct {
 	mu   sync.Mutex
 	rows map[string]*boardRow
@@ -52,8 +31,9 @@ func NewBoard() *Board {
 	return &Board{rows: make(map[string]*boardRow), now: time.Now}
 }
 
-// Update merges one progress report into the board.
-func (b *Board) Update(u RunUpdate) {
+// Update merges one progress report into the board. Its method value
+// is a runner progress callback.
+func (b *Board) Update(u obs.RunUpdate) {
 	key := u.Benchmark + "/" + u.Kind
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -74,12 +54,15 @@ func (b *Board) Update(u RunUpdate) {
 	if u.Total == 0 {
 		row.Total = prev.Total
 	}
+	if u.Windows == 0 {
+		row.Windows = prev.Windows
+	}
 	switch u.State {
-	case StateSimulating:
+	case obs.StateSimulating:
 		if row.started.IsZero() {
 			row.started = b.now()
 		}
-	case StateDone, StateError:
+	case obs.StateDone, obs.StateError:
 		if u.Elapsed > 0 {
 			row.elapsed = u.Elapsed
 		} else if !row.started.IsZero() {
@@ -90,7 +73,7 @@ func (b *Board) Update(u RunUpdate) {
 
 // RunStatus is one row of a progress snapshot.
 type RunStatus struct {
-	RunUpdate
+	obs.RunUpdate
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
 }
 
@@ -111,7 +94,7 @@ func (b *Board) Snapshot() ProgressSnapshot {
 		switch {
 		case row.elapsed > 0:
 			st.ElapsedSeconds = row.elapsed.Seconds()
-		case row.State == StateSimulating && !row.started.IsZero():
+		case row.State == obs.StateSimulating && !row.started.IsZero():
 			st.ElapsedSeconds = b.now().Sub(row.started).Seconds()
 		}
 		snap.Runs = append(snap.Runs, st)
@@ -124,9 +107,4 @@ func (b *Board) Snapshot() ProgressSnapshot {
 		return snap.Runs[i].Kind < snap.Runs[j].Kind
 	})
 	return snap
-}
-
-// MarshalJSON renders the current snapshot.
-func (b *Board) MarshalJSON() ([]byte, error) {
-	return json.Marshal(b.Snapshot())
 }

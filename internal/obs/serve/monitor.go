@@ -96,7 +96,7 @@ func NewMonitor(reg *obs.Registry) *Monitor {
 	// The default alert ruleset's liveness guard watches this: how many
 	// runs the board currently reports simulating.
 	reg.GaugeFunc("progress.simulating", func() float64 {
-		return float64(m.board.Snapshot().Counts[StateSimulating])
+		return float64(m.board.Snapshot().Counts[obs.StateSimulating])
 	})
 	m.handle("GET /metrics", m.handleMetrics)
 	m.handle("GET /progress", m.handleProgress)
@@ -125,13 +125,9 @@ func NewMonitor(reg *obs.Registry) *Monitor {
 // an obs.Tracer (typically via obs.Multi next to a Collector).
 func (m *Monitor) Hub() *Hub { return m.hub }
 
-// Board returns the monitor's progress board; feed it RunUpdates from
-// runner progress callbacks.
+// Board returns the monitor's progress board; its Update method is a
+// runner progress callback.
 func (m *Monitor) Board() *Board { return m.board }
-
-// Mux exposes the underlying mux so callers can mount extra endpoints
-// (the serve subcommand adds its /api tree here).
-func (m *Monitor) Mux() *http.ServeMux { return m.mux }
 
 // SetDecisions installs the source behind GET /decisions?format=json.
 // A nil source makes the snapshot form answer 404 again; the live stream

@@ -60,7 +60,7 @@ func TestMonitorMetrics(t *testing.T) {
 
 func TestMonitorProgress(t *testing.T) {
 	m, url := testMonitor(t)
-	m.Board().Update(RunUpdate{Benchmark: "mcf", Kind: "powerchop", State: StateSimulating})
+	m.Board().Update(obs.RunUpdate{Benchmark: "mcf", Kind: "powerchop", State: obs.StateSimulating})
 	body, resp := get(t, url+"/progress")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("content-type %q", ct)
@@ -69,7 +69,7 @@ func TestMonitorProgress(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/progress not JSON: %v\n%s", err, body)
 	}
-	if len(doc.Runs) != 1 || doc.Runs[0].State != StateSimulating {
+	if len(doc.Runs) != 1 || doc.Runs[0].State != obs.StateSimulating {
 		t.Fatalf("progress doc: %+v", doc)
 	}
 }

@@ -87,25 +87,9 @@ func (m *Monitor) handleRunsBoard(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := make([][]string, 0, len(recs))
 	for _, rec := range recs {
-		cache := ""
-		if rec.CacheHits+rec.CacheMisses > 0 {
-			cache = fmt.Sprintf("%d/%d", rec.CacheHits, rec.CacheHits+rec.CacheMisses)
-		}
-		outcome := rec.Outcome
-		if rec.Error != "" {
-			outcome += ": " + rec.Error
-		}
-		rows = append(rows, []string{
-			rec.Time.Format("2006-01-02 15:04:05"),
-			rec.Kind,
-			rec.Name,
-			fmt.Sprintf("%.0fms", rec.DurationMS),
-			cache,
-			outcome,
-		})
+		rows = append(rows, rec.Row())
 	}
-	fmt.Fprint(w, textplot.Table(
-		[]string{"time", "kind", "name", "duration", "cache", "outcome"}, rows))
+	fmt.Fprint(w, textplot.Table(runlog.Columns, rows))
 	if corrupt > 0 {
 		fmt.Fprintf(w, "(%d corrupt journal lines skipped)\n", corrupt)
 	}

@@ -54,6 +54,12 @@ func (p Params) Clone() Params {
 	return out
 }
 
+// MaxGridPoints bounds a parameter sweep: neither one axis of a grid
+// nor the product of its axes may exceed it. The largest default grid
+// has 243 points (agilewatts: three values for each of five
+// parameters).
+const MaxGridPoints = 1024
+
 // Spec is one registered gating policy.
 type Spec struct {
 	// Name is the registry key and the Options.Manager string selecting

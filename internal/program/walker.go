@@ -77,9 +77,6 @@ func NewWalker(p *Program) (*Walker, error) {
 // Program returns the walked program.
 func (w *Walker) Program() *Program { return w.prog }
 
-// PhaseIndex returns the index of the currently active phase.
-func (w *Walker) PhaseIndex() int { return w.phaseIdx }
-
 // PhaseName returns the name of the currently active phase.
 func (w *Walker) PhaseName() string { return w.prog.Phases[w.phaseIdx].Name }
 

@@ -101,18 +101,6 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 	}()
 
-	progress := func(p RunProgress) {
-		mon.Board().Update(serve.RunUpdate{
-			Benchmark:    p.Benchmark,
-			Kind:         p.Kind,
-			State:        p.State,
-			Cycles:       p.Cycles,
-			Translations: p.Translations,
-			Total:        p.Total,
-			Elapsed:      p.Elapsed,
-			Err:          p.Err,
-		})
-	}
 	// Telemetry rides the same fan-out: per-window series ingest into a
 	// live store queried over HTTP while the figures render.
 	telemetry := tsdb.NewStore(tsdb.DefaultConfig())
@@ -175,7 +163,7 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	tracer := obs.Multi(collector, ingest, mon.Hub())
 	observed := NewFigureRunner(0.02, WithJobs(4),
 		WithTracer(tracer),
-		WithProgress(progress))
+		WithProgress(mon.Board().Update))
 	// The render runs under a root span, so every sweep, benchmark and
 	// sim span rides the same event stream the SSE client is draining.
 	reqID := span.NewRequestID()
@@ -205,7 +193,7 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 		t.Error("/metrics missing events_total after a traced run")
 	}
 	prog := getBody(t, base+"/progress")
-	if !bytes.Contains(prog, []byte(`"`+serve.StateDone+`"`)) {
+	if !bytes.Contains(prog, []byte(`"`+StateDone+`"`)) {
 		t.Errorf("/progress has no completed runs:\n%s", prog)
 	}
 

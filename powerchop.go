@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"powerchop/internal/arch"
 	"powerchop/internal/experiments"
@@ -162,36 +161,18 @@ type Options struct {
 
 // Run states reported through RunProgress.
 const (
-	StateQueued     = "queued"
-	StateSimulating = "simulating"
-	StateDone       = "done"
-	StateError      = "error"
+	StateQueued     = obs.StateQueued
+	StateSimulating = obs.StateSimulating
+	StateDone       = obs.StateDone
+	StateError      = obs.StateError
 )
 
 // RunProgress is one progress report about a simulation: which
 // (benchmark, kind) run it concerns, where it is in its lifecycle, and
-// how far along the simulated clock has advanced.
-type RunProgress struct {
-	Benchmark string
-	// Kind is the run's configuration: the policy fingerprint for every
-	// run of a registered policy, figure runs among them (e.g.
-	// "timeout{idle-cycles=20000}", so every grid point of a sweep is its
-	// own row), and the setup's name for the figures' study-only setups
-	// (e.g. "powerchop-vpu").
-	Kind  string
-	State string
-	// Cycles is the current simulated cycle count.
-	Cycles float64
-	// Translations/Total are region executions done vs budgeted.
-	Translations uint64
-	Total        uint64
-	// Windows is the number of closed HTB windows.
-	Windows uint64
-	// Elapsed is wall-clock time spent simulating.
-	Elapsed time.Duration
-	// Err is the failure message when State is "error".
-	Err string
-}
+// how far along the simulated clock has advanced. It is the record the
+// runner emits and the monitor's /progress board shows, JSON tags
+// included (see internal/obs).
+type RunProgress = obs.RunUpdate
 
 // Sample is one time-series point of a sampled run.
 type Sample struct {
@@ -257,139 +238,29 @@ type Report struct {
 	Audit *AuditReport
 }
 
-// ScoreRecord is one unit's criticality measurement inside a decision:
-// the value Algorithm 1 computed, the threshold(s) it was compared
-// against, and the comparison's outcome.
-type ScoreRecord struct {
-	Unit   string
-	Metric string // "simd-ratio", "mispred-delta", "l2hit-ratio"
-	Value  float64
-	// Threshold is the cut-off compared against (MLC1 for the MLC);
-	// Threshold2 the MLC's second cut-off, zero elsewhere.
-	Threshold  float64
-	Threshold2 float64
-	// Outcome renders the comparison, e.g. "0.00013 <= 0.005 -> off".
-	Outcome string
-}
-
-// DecisionRecord is the full lineage of one gating decision.
-type DecisionRecord struct {
-	// Phase is the phase signature the decision covers.
-	Phase string
-	// Window locates the registration in the run.
-	Window uint64
-	// Path is "computed", "restored" or "abandoned".
-	Path string
-	// Policy is the decided policy vector, rendered like "V=1,B=0,M=01".
-	Policy string
-	// Scores are the measurements behind a computed decision.
-	Scores []ScoreRecord
-	// ProfileWindows, Attempts and LatencyWindows describe the
-	// profiling effort: windows consumed, CDE invocations spent, and
-	// windows elapsed from first PVT miss to registration.
-	ProfileWindows uint64
-	Attempts       uint64
-	LatencyWindows uint64
-}
+// AuditReport is a run's decision-provenance trail, the record the
+// auditor builds (internal/obs/audit): the per-phase attribution table
+// (Phases, in order of first appearance; "(boot)" covers pre-decision
+// cycles), every policy registration (Decisions), and the per-unit
+// energy saved, which sums to the run's per-unit LeakageSavedJ (see
+// UnitReport). Its JSON form is the one `explain -json`, /api/explain
+// and the monitor's /decisions?format=json print; Render(top) formats
+// the text report.
+type AuditReport = audit.Trail
 
 // PhaseAttribution is one phase's share of the run: how long its
 // decisions governed execution, what they saved, what they cost.
-type PhaseAttribution struct {
-	Phase   string
-	Policy  string
-	Windows uint64
-	Cycles  float64
-	// PVT path counts and decision count for the phase.
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Decisions uint64
-	// GatedCycles and EnergySavedJ attribute per-unit gating (cycles
-	// weighted by depth, and the leakage energy saved) to the phase.
-	GatedCycles  map[string]float64
-	EnergySavedJ map[string]float64
-	// EnergySavedTotalJ sums EnergySavedJ; OverheadCycles is the
-	// slowdown incurred (gate stalls + CDE invocations) and OverheadJ
-	// the whole-core leakage burned during it.
-	EnergySavedTotalJ float64
-	OverheadCycles    float64
-	OverheadJ         float64
-}
+type PhaseAttribution = audit.PhaseAttribution
 
-// AuditReport is the public mirror of a run's decision-provenance trail.
-type AuditReport struct {
-	// Phases is the attribution table in order of first appearance
-	// ("(boot)" covers pre-decision cycles).
-	Phases []PhaseAttribution
-	// Decisions lists every policy registration in order.
-	Decisions []DecisionRecord
-	// EnergySavedJ totals attributed savings per unit; these sum to the
-	// run's per-unit LeakageSavedJ (see UnitReport).
-	EnergySavedJ      map[string]float64
-	EnergySavedTotalJ float64
-	// OverheadJ is the total slowdown cost in leakage energy.
-	OverheadJ float64
-	// Summary is the rendered attribution report (the top-20 view; use
-	// Render for other depths).
-	Summary string
+// DecisionRecord is the full lineage of one gating decision: its
+// phase, path, policy (the 4-bit code in Policy, its text in
+// PolicyStr) and the scores behind it.
+type DecisionRecord = audit.DecisionRecord
 
-	trail *audit.Trail
-}
-
-// Render formats the attribution report showing at most top phases and
-// decisions (0 = all).
-func (a *AuditReport) Render(top int) string { return a.trail.Render(top) }
-
-// auditReportOf converts an internal trail.
-func auditReportOf(t *audit.Trail) *AuditReport {
-	r := &AuditReport{
-		EnergySavedJ:      t.EnergySavedJ,
-		EnergySavedTotalJ: t.EnergySavedTotalJ,
-		OverheadJ:         t.OverheadJ,
-		Summary:           t.Render(20),
-		trail:             t,
-	}
-	for _, p := range t.Phases {
-		r.Phases = append(r.Phases, PhaseAttribution{
-			Phase:             p.Phase,
-			Policy:            p.PolicyStr,
-			Windows:           p.Windows,
-			Cycles:            p.Cycles,
-			Hits:              p.Hits,
-			Misses:            p.Misses,
-			Evictions:         p.Evictions,
-			Decisions:         p.Decisions,
-			GatedCycles:       p.GatedCycles,
-			EnergySavedJ:      p.EnergySavedJ,
-			EnergySavedTotalJ: p.EnergySavedTotalJ,
-			OverheadCycles:    p.OverheadCycles,
-			OverheadJ:         p.OverheadJ,
-		})
-	}
-	for _, d := range t.Decisions {
-		pub := DecisionRecord{
-			Phase:          d.Phase,
-			Window:         d.Window,
-			Path:           d.Path,
-			Policy:         d.PolicyStr,
-			ProfileWindows: d.ProfileWindows,
-			Attempts:       d.Attempts,
-			LatencyWindows: d.LatencyWindows,
-		}
-		for _, s := range d.Scores {
-			pub.Scores = append(pub.Scores, ScoreRecord{
-				Unit:       s.Unit,
-				Metric:     s.Metric,
-				Value:      s.Value,
-				Threshold:  s.Threshold,
-				Threshold2: s.Threshold2,
-				Outcome:    s.Comparison(),
-			})
-		}
-		r.Decisions = append(r.Decisions, pub)
-	}
-	return r
-}
+// ScoreRecord is one unit's criticality measurement inside a decision:
+// the value Algorithm 1 computed, the threshold(s) it was compared
+// against, and the resulting policy slice (Comparison renders it).
+type ScoreRecord = audit.ScoreRecord
 
 // HistogramReport summarizes one metrics histogram.
 type HistogramReport struct {
@@ -463,17 +334,13 @@ func resolvePolicy(manager string) (policy.Spec, error) {
 	return spec, nil
 }
 
-// designFor resolves the design point.
+// designFor resolves the design point: the benchmark's own under
+// ArchAuto, the named one otherwise.
 func designFor(o Options, b workload.Benchmark) (arch.Design, error) {
-	switch o.Arch {
-	case ArchAuto:
-		if b.Mobile {
-			return arch.Mobile(), nil
-		}
-		return arch.Server(), nil
-	default:
-		return arch.ByName(o.Arch)
+	if o.Arch == ArchAuto {
+		return experiments.DesignFor(b), nil
 	}
+	return arch.ByName(o.Arch)
 }
 
 // Run simulates the named benchmark under the options.
@@ -569,9 +436,7 @@ func submit(ctx context.Context, opts Options, lanes []experiments.Lane) ([]*Rep
 	if r.Cache == nil && opts.CacheDir != "" {
 		r.Cache = rescache.New(opts.CacheDir, nil)
 	}
-	if opts.Progress != nil {
-		r.Progress = progressSink(opts.Progress)
-	}
+	r.Progress = opts.Progress
 	results, err := r.Run(ctx, lanes)
 	if err != nil {
 		return nil, err
@@ -666,9 +531,7 @@ func reportOf(res *sim.Result) *Report {
 	if res.Metrics != nil {
 		r.Metrics = metricsReportOf(res.Metrics)
 	}
-	if res.Audit != nil {
-		r.Audit = auditReportOf(res.Audit)
-	}
+	r.Audit = res.Audit
 	return r
 }
 

@@ -158,7 +158,9 @@ func defaultGrid(p policy.Param) []float64 {
 // tuneGrid enumerates the sweep's parameter assignments in a
 // deterministic order: an odometer over the schema's declaration order.
 // Every axis is deduplicated first, so the sweep never contains two
-// points with identical parameter assignments.
+// points with identical parameter assignments. An axis, or a product of
+// axes, above policy.MaxGridPoints is an error, reported before the
+// points are built.
 func tuneGrid(spec policy.Spec, overrides map[string][]float64) ([]policy.Params, error) {
 	for name := range overrides {
 		found := false
@@ -173,14 +175,25 @@ func tuneGrid(spec policy.Spec, overrides map[string][]float64) ([]policy.Params
 		}
 	}
 	axes := make([][]float64, len(spec.Params))
+	size := 1.0
 	for i, p := range spec.Params {
-		if vals, ok := overrides[p.Name]; ok && len(vals) > 0 {
+		vals, ok := overrides[p.Name]
+		switch {
+		case len(vals) > policy.MaxGridPoints:
+			return nil, fmt.Errorf("powerchop: %s grid axis %s has %d values, above the limit of %d",
+				spec.Name, p.Name, len(vals), policy.MaxGridPoints)
+		case len(vals) > 0:
 			axes[i] = dedupeValues(append([]float64(nil), vals...))
-		} else if ok {
+		case ok:
 			axes[i] = []float64{p.Default}
-		} else {
+		default:
 			axes[i] = defaultGrid(p)
 		}
+		size *= float64(len(axes[i]))
+	}
+	if size > policy.MaxGridPoints {
+		return nil, fmt.Errorf("powerchop: %s grid has %.0f points, above the limit of %d",
+			spec.Name, size, policy.MaxGridPoints)
 	}
 	points := []policy.Params{{}}
 	for i, p := range spec.Params {
