@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race check bench bench-overhead profile clean
+.PHONY: build vet lint test race check bench-overhead profile clean
 
 build:
 	$(GO) build ./...
@@ -24,10 +24,6 @@ race:
 	$(GO) test -race ./...
 
 check: build vet race
-
-# Figure/table regeneration benchmarks (slow; full-scale runs).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem
 
 # Observer overhead only: every tracer, span, audit and telemetry case
 # against one shared baseline.

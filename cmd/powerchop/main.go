@@ -247,8 +247,10 @@ type runArgs struct {
 	cacheDir  string
 }
 
-func runFlags(args []string) (runArgs, error) {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+// runFlags parses the flags of run or compare, named by cmd: only run
+// takes -telemetry and only compare -batch, since a run is one lane.
+func runFlags(cmd string, args []string) (runArgs, error) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	bench := fs.String("bench", "", "benchmark name (see 'powerchop list')")
 	manager := fs.String("manager", powerchop.ManagerPowerChop,
 		"power manager ("+strings.Join(powerchop.PolicyNames(), "|")+")")
@@ -260,10 +262,15 @@ func runFlags(args []string) (runArgs, error) {
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	trace := fs.String("trace", "", "write the event trace as JSONL to this file")
 	metrics := fs.Bool("metrics", false, "collect and print run metrics")
-	telemetry := fs.Bool("telemetry", false, "record per-window series and print a sparkline summary")
 	httpAddr := fs.String("http", "", "serve a live monitor on this address for the run's duration")
 	cacheDir := fs.String("cache", os.Getenv("POWERCHOP_CACHE"), "persistent result cache directory (default $POWERCHOP_CACHE)")
-	batch := fs.Int("batch", 0, "max lanes per batched simulation group for compare (0 = default cap of 16, 1 = one simulation per lane)")
+	var telemetry bool
+	var batch int
+	if cmd == "run" {
+		fs.BoolVar(&telemetry, "telemetry", false, "record per-window series and print a sparkline summary")
+	} else {
+		fs.IntVar(&batch, "batch", 0, "max lanes per batched simulation group (0 = default cap of 16, 1 = one simulation per lane)")
+	}
 	if err := fs.Parse(args); err != nil {
 		return runArgs{}, errParse(err)
 	}
@@ -279,12 +286,12 @@ func runFlags(args []string) (runArgs, error) {
 			Passes:         *passes,
 			SampleInterval: *sample,
 			Metrics:        *metrics,
-			Batch:          *batch,
+			Batch:          batch,
 		},
 		json:      *asJSON,
 		trace:     *trace,
 		metrics:   *metrics,
-		telemetry: *telemetry,
+		telemetry: telemetry,
 		httpAddr:  *httpAddr,
 		cacheDir:  *cacheDir,
 	}, nil
@@ -331,7 +338,7 @@ func withTrace(a *runArgs, f func() error) error {
 }
 
 func cmdRun(args []string) error {
-	a, err := runFlags(args)
+	a, err := runFlags("run", args)
 	if err != nil {
 		return err
 	}
@@ -393,7 +400,7 @@ func cmdRun(args []string) error {
 }
 
 func cmdCompare(args []string) error {
-	a, err := runFlags(args)
+	a, err := runFlags("compare", args)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 )
 
 func TestRunFlagsDefaults(t *testing.T) {
-	a, err := runFlags([]string{"-bench", "gobmk"})
+	a, err := runFlags("run", []string{"-bench", "gobmk"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestRunFlagsDefaults(t *testing.T) {
 }
 
 func TestRunFlagsExplicit(t *testing.T) {
-	a, err := runFlags([]string{
+	a, err := runFlags("run", []string{
 		"-bench", "msn", "-manager", "timeout", "-arch", "mobile",
 		"-passes", "1.5", "-sample", "10000", "-json",
 		"-trace", "out.jsonl", "-metrics",
@@ -47,7 +48,7 @@ func TestRunFlagsExplicit(t *testing.T) {
 }
 
 func TestRunFlagsMissingBench(t *testing.T) {
-	_, err := runFlags(nil)
+	_, err := runFlags("run", nil)
 	if err == nil {
 		t.Fatal("missing -bench accepted")
 	}
@@ -113,6 +114,39 @@ func TestRunSubcommandHelpExitsZero(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"run", "-h"}, &out, &errOut); code != 0 {
 		t.Fatalf("run -h exited %d", code)
+	}
+}
+
+// TestRunCompareFlagSets checks run and compare parse their own flags:
+// -telemetry belongs to run and -batch to compare, and compare's help
+// names compare.
+func TestRunCompareFlagSets(t *testing.T) {
+	for _, args := range [][]string{
+		{"compare", "-bench", "gobmk", "-telemetry"},
+		{"run", "-bench", "gobmk", "-batch", "2"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+	}
+	// The flag package prints a subcommand's help to the process's
+	// stderr.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	code := run([]string{"compare", "-h"}, &bytes.Buffer{}, &bytes.Buffer{})
+	os.Stderr = stderr
+	w.Close()
+	help, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 || !strings.Contains(string(help), "Usage of compare:") {
+		t.Errorf("compare -h exited %d and printed:\n%s", code, help)
 	}
 }
 

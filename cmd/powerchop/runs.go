@@ -150,45 +150,38 @@ func runsTail(store *runlog.Store, f runlog.Filter, asJSON bool, stdout io.Write
 		fmt.Fprintf(stdout, "%s  %-8s %-12s %10s %8s  %s\n",
 			row[0], row[1], row[2], row[3], row[4], row[5])
 	}
-	// Seed with the newest matching records, oldest of them first so the
-	// feed reads top-to-bottom chronologically.
-	recs, _, err := store.List(f)
+	// One scan per tick: every matching record, newest first. The journal
+	// only grows, so the records past the count seen so far are new.
+	follow := runlog.Filter{Kind: f.Kind, Name: f.Name, Outcome: f.Outcome}
+	recs, _, err := store.List(follow)
 	if err != nil {
 		return err
+	}
+	seen := len(recs)
+	// Seed with the filter's window of them, oldest first so the feed
+	// reads top-to-bottom chronologically.
+	recs = recs[min(f.Offset, len(recs)):]
+	if f.Limit > 0 {
+		recs = recs[:min(f.Limit, len(recs))]
 	}
 	for i := len(recs) - 1; i >= 0; i-- {
 		emit(recs[i])
 	}
-	seen, err := store.Len()
-	if err != nil {
-		return err
-	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	match := func(rec runlog.Record) bool {
-		return (f.Kind == "" || rec.Kind == f.Kind) &&
-			(f.Name == "" || rec.Name == f.Name) &&
-			(f.Outcome == "" || rec.Outcome == f.Outcome)
-	}
 	for {
 		select {
 		case <-stop:
 			return nil
 		case <-ticker.C:
-			n, err := store.Len()
-			if err != nil || n <= seen {
+			recs, _, err := store.List(follow)
+			if err != nil || len(recs) <= seen {
 				continue
 			}
-			fresh, _, err := store.List(runlog.Filter{Limit: n - seen})
-			if err != nil {
-				continue
+			for i := len(recs) - seen - 1; i >= 0; i-- {
+				emit(recs[i])
 			}
-			seen = n
-			for i := len(fresh) - 1; i >= 0; i-- {
-				if match(fresh[i]) {
-					emit(fresh[i])
-				}
-			}
+			seen = len(recs)
 		}
 	}
 }

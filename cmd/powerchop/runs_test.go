@@ -156,16 +156,21 @@ func TestRunsTailFollows(t *testing.T) {
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- runsTail(store, runlog.Filter{Kind: "run", Limit: 10}, false, &out, stop, 5*time.Millisecond)
+		done <- runsTail(store, runlog.Filter{Kind: "run", Outcome: "ok", Limit: 10}, false, &out, stop, 5*time.Millisecond)
 	}()
 	waitOutput(t, &out, "namd")
 
-	// Appends made mid-follow show up when they match the filter.
-	if err := store.Append(runlog.Record{Kind: "run", Name: "late-arrival"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(runlog.Record{Kind: "figure", Name: "off-kind"}); err != nil {
-		t.Fatal(err)
+	// Appends made mid-follow show up when they match the filter; those
+	// of another kind or outcome do not. The matching record goes last,
+	// so once it prints every earlier append has been scanned.
+	for _, rec := range []runlog.Record{
+		{Kind: "figure", Name: "off-kind"},
+		{Kind: "run", Name: "off-outcome", Error: "boom"},
+		{Kind: "run", Name: "late-arrival"},
+	} {
+		if err := store.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitOutput(t, &out, "late-arrival")
 
@@ -174,8 +179,10 @@ func TestRunsTailFollows(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if strings.Contains(s, "off-kind") || strings.Contains(s, "fig12") {
-		t.Errorf("tail printed records outside its kind filter:\n%s", s)
+	for _, off := range []string{"off-kind", "fig12", "off-outcome", "gobmk"} {
+		if strings.Contains(s, off) {
+			t.Errorf("tail printed %s, outside its kind and outcome filter:\n%s", off, s)
+		}
 	}
 }
 

@@ -102,7 +102,7 @@ func TestCmdTraceChrome(t *testing.T) {
 }
 
 func TestRunFlagsHTTP(t *testing.T) {
-	a, err := runFlags([]string{"-bench", "gobmk", "-http", "127.0.0.1:0"})
+	a, err := runFlags("run", []string{"-bench", "gobmk", "-http", "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func TestCmdTopInProcess(t *testing.T) {
 }
 
 func TestRunFlagsTelemetry(t *testing.T) {
-	a, err := runFlags([]string{"-bench", "gobmk", "-telemetry"})
+	a, err := runFlags("run", []string{"-bench", "gobmk", "-telemetry"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,104 +1,14 @@
 package powerchop
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"io"
 	"math"
-	"net/http"
 	"testing"
-	"time"
 
 	"powerchop/internal/arch"
 	"powerchop/internal/cde"
-	"powerchop/internal/obs"
 	"powerchop/internal/obs/audit"
-	"powerchop/internal/obs/serve"
 	"powerchop/internal/pvt"
 )
-
-// TestExplainAttachedByteIdentical is the decision-provenance determinism
-// gate: rendering the full figure set with audit collection, histogram
-// metrics and a live /decisions SSE client attached must be byte-identical
-// to an unobserved render. The audit layer is a pure observer.
-func TestExplainAttachedByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure renders are slow; skipped with -short")
-	}
-	if raceEnabled {
-		t.Skip("two full figure renders under the race detector are too slow; " +
-			"auditor concurrency is exercised by the unit tests")
-	}
-
-	collector := obs.NewCollector()
-	cfg := audit.DesignConfig(arch.Server())
-	cfg.Registry = collector.Registry()
-	auditor := audit.MustNew(cfg)
-	mon := serve.NewMonitor(collector.Registry())
-	mon.SetDecisions(auditor)
-	if err := mon.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := mon.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
-	base := "http://" + mon.Addr()
-
-	// A live /decisions SSE client consuming (and possibly dropping)
-	// decision events while the figures render.
-	clientCtx, stopClient := context.WithCancel(context.Background())
-	defer stopClient()
-	req, err := http.NewRequestWithContext(clientCtx, http.MethodGet, base+"/decisions", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientDone := make(chan struct{})
-	go func() {
-		defer close(clientDone)
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-	}()
-
-	observed := NewFigureRunner(0.02, WithJobs(4),
-		WithTracer(obs.Multi(collector, auditor, mon.Hub())))
-	var live bytes.Buffer
-	if err := observed.RenderAll(&live); err != nil {
-		t.Fatal(err)
-	}
-
-	requirePlainFigures(t, "audited", live.Bytes())
-
-	// The provenance surfaces must hold up after the render: the
-	// /decisions snapshot parses as a trail that saw decisions, and the
-	// audit histograms registered alongside the collector's metrics.
-	var trail audit.Trail
-	if err := json.Unmarshal(getBody(t, base+"/decisions?format=json"), &trail); err != nil {
-		t.Fatalf("/decisions?format=json: %v", err)
-	}
-	if len(trail.Decisions) == 0 {
-		t.Error("/decisions snapshot has no decision records after a full render")
-	}
-	metrics := getBody(t, base+"/metrics")
-	if !bytes.Contains(metrics, []byte("audit_decision_latency_windows")) {
-		t.Error("/metrics missing audit decision-latency histogram")
-	}
-
-	stopClient()
-	select {
-	case <-clientDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("SSE client did not terminate after cancel")
-	}
-}
 
 // TestExplainAlgorithm1Reproduction checks that the audit trail carries
 // the exact inputs Algorithm 1 saw: re-applying each recorded score to

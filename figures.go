@@ -146,14 +146,14 @@ var figureSpecs = []figureSpec{
 		return renderOf(r, err)
 	}},
 	{"fig13", "Figure 13: power and energy reduction", func(ctx context.Context, f *FigureRunner) (string, error) {
-		r, err := experiments.Figure13(ctx, f.runner)
+		r, err := experiments.PowerReductions(ctx, f.runner)
 		if err != nil {
 			return "", err
 		}
 		return r.RenderFigure13(), nil
 	}},
 	{"fig14", "Figure 14: leakage power reduction", func(ctx context.Context, f *FigureRunner) (string, error) {
-		r, err := experiments.Figure14(ctx, f.runner)
+		r, err := experiments.PowerReductions(ctx, f.runner)
 		if err != nil {
 			return "", err
 		}
@@ -184,6 +184,10 @@ var figureSpecs = []figureSpec{
 	}},
 	{"powertrace", "Power trace: per-window telemetry under PowerChop on gobmk", func(ctx context.Context, f *FigureRunner) (string, error) {
 		r, err := experiments.PowerTrace(ctx, f.runner)
+		return renderOf(r, err)
+	}},
+	{"ablations", "Ablations: the design-choice sweeps behind the paper's parameters", func(ctx context.Context, f *FigureRunner) (string, error) {
+		r, err := experiments.Ablations(ctx, f.runner)
 		return renderOf(r, err)
 	}},
 }

@@ -37,7 +37,8 @@ import (
 // Thresholds are the criticality cut-offs for gating decisions. The
 // paper's text elides the numeric values; these defaults were selected by
 // the same sweep procedure the paper describes (maximize savings at ≈2%
-// average slowdown) — see BenchmarkAblationThresholds.
+// average slowdown) — see the thresholds table of the ablations figure
+// (powerchop figure -id ablations).
 type Thresholds struct {
 	VPU  float64 // gate VPU off when Criticality_VPU  <= VPU
 	BPU  float64 // gate BPU off when Criticality_BPU  <= BPU

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"powerchop/internal/phase"
 	"powerchop/internal/sim"
 	"powerchop/internal/stats"
 	"powerchop/internal/textplot"
@@ -51,9 +52,7 @@ func (q *QualityResult) Render() string {
 // each benchmark once for both.
 func Figure8(ctx context.Context, r *Runner) (*QualityResult, error) {
 	bs := workload.All()
-	quality := powerChop
-	quality.Quality, quality.Silent = true, true
-	set, err := r.ResultSet(ctx, bs, []Lane{powerChop, quality})
+	set, err := r.ResultSet(ctx, bs, []Lane{powerChop, tracked(phase.Config{})})
 	if err != nil {
 		return nil, err
 	}

@@ -171,10 +171,3 @@ func PowerReductions(ctx context.Context, r *Runner) (*PowerResult, error) {
 	out.AvgLeakage["all"] = mean(out.Rows, func(r PowerRow) float64 { return r.LeakageRed })
 	return out, nil
 }
-
-// Figure13 returns the power/energy reductions (alias of PowerReductions,
-// named for the figure index).
-func Figure13(ctx context.Context, r *Runner) (*PowerResult, error) { return PowerReductions(ctx, r) }
-
-// Figure14 returns the same underlying comparison rendered as Figure 14.
-func Figure14(ctx context.Context, r *Runner) (*PowerResult, error) { return PowerReductions(ctx, r) }

@@ -81,11 +81,7 @@ func (z *ZooResult) Render() string {
 func PolicyZoo(ctx context.Context, r *Runner) (*ZooResult, error) {
 	lanes := []Lane{fullPower}
 	for _, name := range ZooPolicies {
-		l, err := policyLane(name, nil)
-		if err != nil {
-			return nil, err
-		}
-		lanes = append(lanes, l)
+		lanes = append(lanes, registered(name, nil))
 	}
 	bs := workload.All()
 	set, err := r.ResultSet(ctx, bs, lanes)

@@ -20,6 +20,7 @@ import (
 	"powerchop/internal/core"
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/span"
+	"powerchop/internal/phase"
 	"powerchop/internal/policy"
 	"powerchop/internal/program"
 	"powerchop/internal/pvt"
@@ -96,18 +97,12 @@ type flight struct {
 	err  error
 }
 
-// NewRunner returns a runner with GOMAXPROCS parallelism. scale
-// multiplies the default run length of two full passes through each
-// benchmark's phase schedule; 1 is the calibrated default, smaller
-// values shorten smoke runs.
-func NewRunner(scale float64) *Runner {
-	return NewParallelRunner(scale, 0)
-}
-
 // NewParallelRunner returns a runner that allows at most jobs concurrent
 // simulation groups (jobs <= 0 selects GOMAXPROCS). jobs bounds
 // simulation work only; any number of callers may block waiting on
-// flights without occupying a job slot.
+// flights without occupying a job slot. scale multiplies the default run
+// length of two full passes through each benchmark's phase schedule; 1
+// is the calibrated default, smaller values shorten smoke runs.
 func NewParallelRunner(scale float64, jobs int) *Runner {
 	if scale <= 0 {
 		scale = 1
@@ -166,6 +161,9 @@ type Lane struct {
 	SampleInterval uint64
 	// Quality enables the Figure 8 translation-quality tracker.
 	Quality bool
+	// Phase is the HTB configuration; the zero value selects the
+	// paper's (phase.DefaultConfig).
+	Phase phase.Config
 	// Manager builds a fresh manager for the run (managers are stateful
 	// and never shared between runs).
 	Manager func() (core.Manager, error)
@@ -217,16 +215,16 @@ func (l *Lane) hash() (digest, design string) {
 
 // key is the lane's persistent-cache key, which also keys its flight.
 // It is the only place a rescache.Key is built, so every caller that
-// issues the same simulation files it under the same entry.
+// issues the same simulation files it under the same entry. The phase
+// configuration is named only when it is not the paper's, so a lane at
+// the default finds the cache entries written without one.
 func (l *Lane) key() rescache.Key {
 	digest, design := l.hash()
-	return rescache.Key{
-		Program: digest,
-		Design:  design,
-		Manager: l.ManagerKey,
-		Config: fmt.Sprintf("translations=%d sample=%d quality=%t",
-			l.RunLen, l.SampleInterval, l.Quality),
+	cfg := fmt.Sprintf("translations=%d sample=%d quality=%t", l.RunLen, l.SampleInterval, l.Quality)
+	if ph := l.Phase; ph != (phase.Config{}) && ph != phase.DefaultConfig() {
+		cfg += fmt.Sprintf(" htb=%d window=%d signature=%d", ph.Capacity, ph.WindowSize, ph.SignatureLen)
 	}
+	return rescache.Key{Program: digest, Design: design, Manager: l.ManagerKey, Config: cfg}
 }
 
 // PolicyLane returns the lane template of a registered policy at a
@@ -246,15 +244,6 @@ func PolicyLane(spec policy.Spec, params policy.Params) (Lane, error) {
 	}, nil
 }
 
-// policyLane is PolicyLane for a policy named in the registry.
-func policyLane(name string, params policy.Params) (Lane, error) {
-	spec, ok := policy.Lookup(name)
-	if !ok {
-		return Lane{}, fmt.Errorf("experiments: unknown policy %q", name)
-	}
-	return PolicyLane(spec, params)
-}
-
 // The lane templates the figures submit. The paper's four managers are
 // registered policies, so their figure runs are policy lanes at default
 // parameters, keyed by fingerprint exactly like a run, compare or tune
@@ -262,10 +251,10 @@ func policyLane(name string, params policy.Params) (Lane, error) {
 // configurations, not selectable policies, and keep their names as
 // manager keys.
 var (
-	fullPower = registered("full-power")
-	powerChop = registered("powerchop")
-	minPower  = registered("min-power")
-	timeout   = registered("timeout")
+	fullPower = registered("full-power", nil)
+	powerChop = registered("powerchop", nil)
+	minPower  = registered("min-power", nil)
+	timeout   = registered("timeout", nil)
 
 	// smallBPU forces the small local predictor (Figure 2's series).
 	smallBPU = fixed("small-bpu", pvt.Policy{VPUOn: true, MLC: pvt.MLCAll})
@@ -278,12 +267,15 @@ var (
 	chopMLC = chopOnly("powerchop-mlc", cde.Managed{MLC: true})
 )
 
-// registered is the lane template of a built-in policy at its defaults.
-// The built-ins register in internal/policy's init, which runs before
-// this package's variables are initialized, so a missing one is a
-// wiring bug.
-func registered(name string) Lane {
-	l, err := policyLane(name, nil)
+// registered is the lane template of a built-in policy at a parameter
+// assignment. The built-ins register in internal/policy's init, which
+// runs before this package's variables are initialized, so a missing
+// one, like an assignment outside its schema, is a wiring bug.
+func registered(name string, params policy.Params) Lane {
+	l, err := Lane{}, fmt.Errorf("experiments: unknown policy %q", name)
+	if spec, ok := policy.Lookup(name); ok {
+		l, err = PolicyLane(spec, params)
+	}
 	if err != nil {
 		panic(err)
 	}
@@ -595,6 +587,7 @@ func (r *Runner) simulateGroup(ctx context.Context, lanes []Lane, group []int) (
 			Context:         ctx,
 			Design:          l.Design,
 			Manager:         m,
+			Phase:           l.Phase,
 			MaxTranslations: l.RunLen,
 			SampleInterval:  l.SampleInterval,
 			TrackQuality:    l.Quality,

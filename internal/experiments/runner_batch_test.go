@@ -34,7 +34,7 @@ func TestResultBatchMatchesResult(t *testing.T) {
 		fullPower, // duplicate: must await lane 0's flight
 	}
 
-	batchRunner := NewRunner(0.05)
+	batchRunner := NewParallelRunner(0.05, 0)
 	set, err := batchRunner.ResultSet(ctx, []workload.Benchmark{b}, lanes)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestResultBatchMatchesResult(t *testing.T) {
 		t.Errorf("batch ran %d simulations, want 3 (duplicate lane deduped)", n)
 	}
 
-	soloRunner := NewRunner(0.05)
+	soloRunner := NewParallelRunner(0.05, 0)
 	solo := make([]any, len(lanes))
 	for i, lane := range lanes {
 		if solo[i], err = result(soloRunner, b, lane); err != nil {
@@ -86,11 +86,6 @@ func TestResultBatchMatchesResult(t *testing.T) {
 			t.Errorf("lane %d: warm batch returned a different result", i)
 		}
 	}
-
-	// An unknown policy has no template, so it fails before any work.
-	if _, err := policyLane("no-such", nil); err == nil {
-		t.Error("unknown policy lane accepted")
-	}
 }
 
 // TestResultBatchSolo pins Batch=1 (batching disabled) to the same
@@ -106,8 +101,8 @@ func TestResultBatchSolo(t *testing.T) {
 	ctx := context.Background()
 	lanes := []Lane{fullPower, timeout}
 
-	batched := NewRunner(0.05)
-	soloed := NewRunner(0.05)
+	batched := NewParallelRunner(0.05, 0)
+	soloed := NewParallelRunner(0.05, 0)
 	soloed.Batch = 1
 
 	bset, err := batched.ResultSet(ctx, []workload.Benchmark{b}, lanes)

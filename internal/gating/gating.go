@@ -149,23 +149,6 @@ func (u *Unit) GatedFrac() float64 {
 	return (t - u.residency[1]) / t
 }
 
-// FracBelow returns the fraction of accounted cycles spent at power levels
-// strictly below the given fraction (e.g. the cycles an MLC spent 1-way
-// gated are FracBelow(0.5)).
-func (u *Unit) FracBelow(frac float64) float64 {
-	t := u.TotalCycles()
-	if t == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, f := range u.Levels() {
-		if f < frac {
-			sum += u.residency[f]
-		}
-	}
-	return sum / t
-}
-
 // SwitchesPerMillionCycles returns the paper's Figure 11 metric.
 func (u *Unit) SwitchesPerMillionCycles() float64 {
 	t := u.TotalCycles()

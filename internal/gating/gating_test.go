@@ -40,12 +40,6 @@ func TestGatedFrac(t *testing.T) {
 	if got := u.GatedFrac(); !almost(got, 0.75) {
 		t.Fatalf("GatedFrac = %v, want 0.75", got)
 	}
-	if got := u.FracBelow(0.5); !almost(got, 0.5) {
-		t.Fatalf("FracBelow(0.5) = %v, want 0.5", got)
-	}
-	if got := u.FracBelow(1); !almost(got, 0.75) {
-		t.Fatalf("FracBelow(1) = %v, want 0.75", got)
-	}
 }
 
 // TestTotalCyclesDeterministic pins the residency sums to ascending level
@@ -60,9 +54,6 @@ func TestTotalCyclesDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if got := u.TotalCycles(); got != 1e16 {
 			t.Fatalf("call %d: TotalCycles = %v, want 1e16 (ascending level order)", i, got)
-		}
-		if got := u.FracBelow(1); got != 1 {
-			t.Fatalf("call %d: FracBelow(1) = %v, want 1", i, got)
 		}
 	}
 }
@@ -111,7 +102,7 @@ func TestRetroactiveOrdering(t *testing.T) {
 func TestZeroCyclesGatedFrac(t *testing.T) {
 	u := NewUnit("VPU", 1)
 	u.CloseOut(0)
-	if u.GatedFrac() != 0 || u.FracBelow(1) != 0 || u.SwitchesPerMillionCycles() != 0 {
+	if u.GatedFrac() != 0 || u.SwitchesPerMillionCycles() != 0 {
 		t.Fatal("zero-length run should report zeros")
 	}
 }

@@ -53,10 +53,6 @@ func (k Kind) String() string {
 // Valid reports whether k is one of the defined instruction kinds.
 func (k Kind) Valid() bool { return k < numKinds }
 
-// IsMemory reports whether the instruction kind accesses the cache
-// hierarchy.
-func (k Kind) IsMemory() bool { return k == Load || k == Store }
-
 // Inst is a static guest instruction within a code region's body. The
 // dynamic behaviour (branch outcome, effective address) is produced by the
 // program model at execution time; Inst carries only the static selectors.
@@ -116,35 +112,4 @@ func (m Mix) ScalarFrac() float64 {
 		return 0
 	}
 	return s
-}
-
-// Counts tallies dynamic instructions by kind.
-type Counts [NumKinds]uint64
-
-// Add records n executed instructions of kind k.
-func (c *Counts) Add(k Kind, n uint64) { c[k] += n }
-
-// Total returns the total dynamic instruction count.
-func (c *Counts) Total() uint64 {
-	var t uint64
-	for _, n := range c {
-		t += n
-	}
-	return t
-}
-
-// Frac returns the fraction of instructions of kind k, or 0 when empty.
-func (c *Counts) Frac(k Kind) float64 {
-	t := c.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(c[k]) / float64(t)
-}
-
-// Merge adds other's tallies into c.
-func (c *Counts) Merge(other Counts) {
-	for k, n := range other {
-		c[k] += n
-	}
 }

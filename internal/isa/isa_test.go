@@ -3,7 +3,6 @@ package isa
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestKindString(t *testing.T) {
@@ -32,15 +31,6 @@ func TestKindValid(t *testing.T) {
 	}
 	if Kind(NumKinds).Valid() {
 		t.Error("out-of-range kind reported valid")
-	}
-}
-
-func TestIsMemory(t *testing.T) {
-	if !Load.IsMemory() || !Store.IsMemory() {
-		t.Error("Load/Store should be memory kinds")
-	}
-	if Scalar.IsMemory() || Vector.IsMemory() || Branch.IsMemory() {
-		t.Error("non-memory kind reported as memory")
 	}
 }
 
@@ -75,59 +65,6 @@ func TestScalarFrac(t *testing.T) {
 	over := Mix{VectorFrac: 0.7, LoadFrac: 0.7}
 	if got := over.ScalarFrac(); got != 0 {
 		t.Errorf("ScalarFrac of oversubscribed mix = %v, want 0", got)
-	}
-}
-
-func TestCounts(t *testing.T) {
-	var c Counts
-	c.Add(Scalar, 60)
-	c.Add(Vector, 10)
-	c.Add(Branch, 20)
-	c.Add(Load, 10)
-	if got := c.Total(); got != 100 {
-		t.Fatalf("Total = %d", got)
-	}
-	if got := c.Frac(Vector); got != 0.1 {
-		t.Errorf("Frac(Vector) = %v", got)
-	}
-	if got := c.Frac(Store); got != 0 {
-		t.Errorf("Frac(Store) = %v", got)
-	}
-	var empty Counts
-	if got := empty.Frac(Scalar); got != 0 {
-		t.Errorf("Frac on empty = %v", got)
-	}
-}
-
-func TestCountsMerge(t *testing.T) {
-	var a, b Counts
-	a.Add(Scalar, 5)
-	b.Add(Scalar, 7)
-	b.Add(Branch, 3)
-	a.Merge(b)
-	if a[Scalar] != 12 || a[Branch] != 3 {
-		t.Errorf("Merge result = %v", a)
-	}
-	// Merge must not alias: changing b afterwards must not affect a.
-	b.Add(Scalar, 100)
-	if a[Scalar] != 12 {
-		t.Error("Merge aliased source counts")
-	}
-}
-
-func TestCountsMergeProperty(t *testing.T) {
-	f := func(av, bv [NumKinds]uint32) bool {
-		var a, b Counts
-		for i := 0; i < NumKinds; i++ {
-			a[i] = uint64(av[i])
-			b[i] = uint64(bv[i])
-		}
-		wantTotal := a.Total() + b.Total()
-		a.Merge(b)
-		return a.Total() == wantTotal
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

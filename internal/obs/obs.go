@@ -166,15 +166,6 @@ func KindFromString(s string) (Kind, error) {
 	return 0, fmt.Errorf("obs: unknown event kind %q", s)
 }
 
-// Kinds returns every defined kind, in declaration order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // MaxSigIDs is the widest phase signature an event can carry; it matches
 // phase.MaxSignatureLen (asserted at compile time where phase emits).
 const MaxSigIDs = 8

@@ -90,6 +90,14 @@ type Filter struct {
 	Offset, Limit int
 }
 
+// Match reports whether the record passes the Kind, Name and Outcome
+// fields.
+func (f Filter) Match(r Record) bool {
+	return (f.Kind == "" || r.Kind == f.Kind) &&
+		(f.Name == "" || r.Name == f.Name) &&
+		(f.Outcome == "" || r.Outcome == f.Outcome)
+}
+
 // Store is the journal. Open one per process; it is safe for
 // concurrent use.
 type Store struct {
@@ -181,13 +189,7 @@ func (s *Store) List(f Filter) (recs []Record, corrupt int, err error) {
 	skipped := 0
 	for i := len(all) - 1; i >= 0; i-- {
 		r := all[i]
-		if f.Kind != "" && r.Kind != f.Kind {
-			continue
-		}
-		if f.Name != "" && r.Name != f.Name {
-			continue
-		}
-		if f.Outcome != "" && r.Outcome != f.Outcome {
+		if !f.Match(r) {
 			continue
 		}
 		if skipped < f.Offset {
@@ -200,12 +202,6 @@ func (s *Store) List(f Filter) (recs []Record, corrupt int, err error) {
 		}
 	}
 	return recs, corrupt, nil
-}
-
-// Len returns the total record count (corrupt lines excluded).
-func (s *Store) Len() (int, error) {
-	all, _, err := s.load()
-	return len(all), err
 }
 
 // load reads the journal oldest-first.

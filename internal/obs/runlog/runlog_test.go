@@ -114,9 +114,9 @@ func TestMemoryStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := s.Len()
-	if err != nil || n != 5 {
-		t.Fatalf("Len = %d, err=%v", n, err)
+	all, _, err := s.List(Filter{})
+	if err != nil || len(all) != 5 {
+		t.Fatalf("List = %d records, err=%v", len(all), err)
 	}
 	recs, _, _ := s.List(Filter{Limit: 2})
 	if len(recs) != 2 {

@@ -172,15 +172,6 @@ func (a *Accountant) AddSwitch(name string) {
 	u.switchJ += u.spec.SwitchEnergyJ(a.clockHz)
 }
 
-// AddEnergy adds raw dynamic energy to a unit (used for fixed costs such
-// as the HTB/PVT structures or CDE software execution).
-func (a *Accountant) AddEnergy(name string, joules float64) {
-	if joules < 0 {
-		panic(fmt.Sprintf("power: negative energy for %q", name))
-	}
-	a.unit(name).dynJ += joules
-}
-
 // UnitReport summarizes one unit's accumulated energy.
 type UnitReport struct {
 	Name         string

@@ -187,11 +187,6 @@ func TestPanics(t *testing.T) {
 			a.AddUnit(spec())
 			a.AddResidency("VPU", 1, -1)
 		}},
-		{"negative-energy", func() {
-			a := NewAccountant(1e9)
-			a.AddUnit(spec())
-			a.AddEnergy("VPU", -1)
-		}},
 	}
 	for _, c := range cases {
 		func() {

@@ -44,9 +44,9 @@ func twoPhaseProgram(t *testing.T) *Program {
 func TestBuilderBodyComposition(t *testing.T) {
 	p := twoPhaseProgram(t)
 	r := p.Regions[0]
-	var counts isa.Counts
+	var counts [isa.NumKinds]int
 	for _, inst := range r.Body {
-		counts.Add(inst.Kind, 1)
+		counts[inst.Kind]++
 	}
 	if got := counts[isa.Vector]; got != 5 {
 		t.Errorf("vector count = %d, want 5 (25%% of 20)", got)

@@ -60,9 +60,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32-bit value in the stream.
-func (s *Source) Uint32() uint32 { return uint32(s.Uint64() >> 32) }
-
 // Intn returns a value uniformly distributed in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
@@ -99,13 +96,6 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// Fork derives an independent child stream from the current state. The
-// child is deterministic given the parent's state, so forking at fixed
-// points yields reproducible component streams (e.g. one per code region).
-func (s *Source) Fork() *Source {
-	return New(s.Uint64() ^ 0xd1342543de82ef95)
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

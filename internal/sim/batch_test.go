@@ -497,3 +497,12 @@ func TestFrontEndWritesDirtyVictimFirst(t *testing.T) {
 		}
 	}
 }
+
+// MustRun is Run for tests: it panics on error.
+func MustRun(p *program.Program, cfg Config) *Result {
+	r, err := Run(p, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}

@@ -242,12 +242,3 @@ func (c *Config) prepare() error {
 	}
 	return c.Validate()
 }
-
-// MustRun is a helper for tests, examples and benchmarks.
-func MustRun(p *program.Program, cfg Config) *Result {
-	r, err := Run(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

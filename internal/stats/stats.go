@@ -1,11 +1,10 @@
 // Package stats provides the small statistical helpers used by the
-// simulator and the experiment harness: means, geometric means, Manhattan
-// distance between translation vectors, histograms and down-sampled time
-// series for figure output.
+// simulator and the experiment harness: means and medians, the
+// Mann–Whitney U test, Manhattan distance between translation vectors
+// and down-sampled time series for figure output.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -20,24 +19,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs, or 0 for an empty slice.
-// Non-positive entries are clamped to a tiny positive value so that a
-// single zero (e.g. a 100% reduction) does not collapse the mean to zero.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	const tiny = 1e-12
-	sum := 0.0
-	for _, x := range xs {
-		if x < tiny {
-			x = tiny
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Min returns the minimum of xs, or 0 for an empty slice.
@@ -182,20 +163,6 @@ func uCDF(m, n, u int) float64 {
 	return below / all
 }
 
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 // Manhattan returns the Manhattan (L1) distance between two sparse count
 // vectors keyed by translation ID. Keys missing from one vector count as
 // zero, matching the paper's translation-vector comparison (Section V-B).
@@ -215,56 +182,6 @@ func Manhattan(a, b map[uint32]uint64) uint64 {
 		}
 	}
 	return dist
-}
-
-// Histogram counts values into fixed-width buckets over [lo, hi). Values
-// outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []uint64
-}
-
-// NewHistogram returns a histogram with n buckets over [lo, hi).
-// It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic("stats: histogram range is empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n)}
-}
-
-// Add records a single observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Buckets)
-	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Buckets[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() uint64 {
-	var t uint64
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// Fraction returns the fraction of observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(t)
 }
 
 // Series is an append-only time series with a label, used to carry
@@ -299,12 +216,4 @@ func (s *Series) Downsample(n int) *Series {
 		out.Append(Mean(s.Values[lo:hi]))
 	}
 	return out
-}
-
-// Ratio formats a/b as a percentage string, guarding against b == 0.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*a/b)
 }

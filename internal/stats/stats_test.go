@@ -26,19 +26,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almost(got, 2) {
-		t.Errorf("GeoMean(1,4) = %v, want 2", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v, want 0", got)
-	}
-	// A zero entry must not collapse the mean to exactly zero.
-	if got := GeoMean([]float64{0, 1, 1}); got <= 0 {
-		t.Errorf("GeoMean with zero entry = %v, want > 0", got)
-	}
-}
-
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if got := Min(xs); got != -1 {
@@ -167,18 +154,6 @@ func TestMannWhitneyTiesAndEdges(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	if got := Stddev([]float64{2, 2, 2}); !almost(got, 0) {
-		t.Errorf("Stddev of constants = %v", got)
-	}
-	if got := Stddev([]float64{1, 3}); !almost(got, 1) {
-		t.Errorf("Stddev(1,3) = %v, want 1", got)
-	}
-	if got := Stddev([]float64{5}); got != 0 {
-		t.Errorf("Stddev of single value = %v", got)
-	}
-}
-
 func TestManhattan(t *testing.T) {
 	a := map[uint32]uint64{1: 10, 2: 5}
 	b := map[uint32]uint64{1: 7, 3: 4}
@@ -234,49 +209,6 @@ func TestManhattanTriangle(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.9, 10, 100} {
-		h.Add(v)
-	}
-	if got := h.Total(); got != 7 {
-		t.Fatalf("Total = %d", got)
-	}
-	// buckets: [-1,0,1.9]→b0, [2]→b1, [9.9,10,100]→b4
-	want := []uint64{3, 1, 0, 0, 3}
-	for i, w := range want {
-		if h.Buckets[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.Buckets[i], w)
-		}
-	}
-	if got := h.Fraction(0); !almost(got, 3.0/7.0) {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestHistogramEmptyFraction(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	if got := h.Fraction(0); got != 0 {
-		t.Errorf("Fraction on empty histogram = %v", got)
-	}
-}
-
 func TestSeriesDownsample(t *testing.T) {
 	s := &Series{Label: "x"}
 	for i := 0; i < 100; i++ {
@@ -301,14 +233,5 @@ func TestSeriesDownsample(t *testing.T) {
 	}
 	if got := s.Downsample(0); got != s {
 		t.Error("Downsample(0) should be a no-op")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if got := Ratio(1, 2); got != "50.0%" {
-		t.Errorf("Ratio = %q", got)
-	}
-	if got := Ratio(1, 0); got != "n/a" {
-		t.Errorf("Ratio div-zero = %q", got)
 	}
 }

@@ -200,12 +200,6 @@ func mediumBranches() []program.BranchModel {
 	}
 }
 
-// noisyBranches is data-dependent chaos: nobody predicts it, so the large
-// BPU is non-critical despite a high mispredict rate.
-func noisyBranches() []program.BranchModel {
-	return []program.BranchModel{random(), noisyBiased(0.7, 0.1), random()}
-}
-
 // loopBranches is a numeric-kernel mix whose first (and often only
 // instantiated) site is history-patterned, keeping the tournament
 // predictor clearly ahead of the bimodal fallback.

@@ -16,6 +16,7 @@ import (
 	"powerchop/internal/arch"
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/alert"
+	"powerchop/internal/obs/audit"
 	"powerchop/internal/obs/runlog"
 	"powerchop/internal/obs/serve"
 	"powerchop/internal/obs/span"
@@ -41,25 +42,32 @@ func (w *lockedWriter) String() string {
 	return w.buf.String()
 }
 
-// TestMonitorAttachedByteIdentical is the live-monitoring determinism
-// gate: rendering the full figure set with the whole observability layer
-// attached — metrics collector, progress board, one live SSE client,
-// telemetry time-series ingest with a live /api/query polling client,
-// request spans, a run-history store, structured access logging, and a
-// ticking alert evaluator over the default ruleset — must be
-// byte-identical to an unobserved render. Observation is pure;
-// it may never perturb simulation results.
+// TestMonitorAttachedByteIdentical is the live-monitoring and
+// decision-provenance determinism gate: rendering the full figure set
+// with the whole observability layer attached — metrics collector, the
+// decision auditor with its histograms in the collector's registry,
+// progress board, live SSE clients on /events and /decisions, telemetry
+// time-series ingest with a live /api/query polling client, request
+// spans, a run-history store, structured access logging, and a ticking
+// alert evaluator over the default ruleset — must be byte-identical to
+// an unobserved render. Observation is pure; it may never perturb
+// simulation results.
 func TestMonitorAttachedByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure renders are slow; skipped with -short")
 	}
 	if raceEnabled {
 		t.Skip("two full figure renders under the race detector are too slow; " +
-			"monitor concurrency is race-tested in internal/obs/serve")
+			"monitor concurrency is race-tested in internal/obs/serve, " +
+			"auditor concurrency by the audit unit tests")
 	}
 
 	collector := obs.NewCollector()
+	auditCfg := audit.DesignConfig(arch.Server())
+	auditCfg.Registry = collector.Registry()
+	auditor := audit.MustNew(auditCfg)
 	mon := serve.NewMonitor(collector.Registry())
+	mon.SetDecisions(auditor)
 	access := &lockedWriter{}
 	mon.SetAccessLog(slog.New(slog.NewJSONHandler(access, nil)))
 	store := runlog.Memory()
@@ -82,23 +90,31 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	}()
 	base := "http://" + mon.Addr()
 
-	// A live SSE client consuming (and possibly dropping) events while
-	// the figures render.
+	// Live SSE clients consuming (and possibly dropping) events and
+	// decisions while the figures render.
 	clientCtx, stopClient := context.WithCancel(context.Background())
 	defer stopClient()
-	req, err := http.NewRequestWithContext(clientCtx, http.MethodGet, base+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	var clients sync.WaitGroup
+	for _, path := range []string{"/events", "/decisions"} {
+		req, err := http.NewRequestWithContext(clientCtx, http.MethodGet, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			defer resp.Body.Close()
+			io.Copy(io.Discard, resp.Body)
+		}()
 	}
 	clientDone := make(chan struct{})
 	go func() {
-		defer close(clientDone)
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
+		clients.Wait()
+		close(clientDone)
 	}()
 
 	// Telemetry rides the same fan-out: per-window series ingest into a
@@ -160,7 +176,7 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	stopAlerts := alertEv.Start(5 * time.Millisecond)
 	defer stopAlerts()
 
-	tracer := obs.Multi(collector, ingest, mon.Hub())
+	tracer := obs.Multi(collector, auditor, ingest, mon.Hub())
 	observed := NewFigureRunner(0.02, WithJobs(4),
 		WithTracer(tracer),
 		WithProgress(mon.Board().Update))
@@ -191,6 +207,18 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	}
 	if !bytes.Contains(metrics, []byte("events_total")) {
 		t.Error("/metrics missing events_total after a traced run")
+	}
+	if !bytes.Contains(metrics, []byte("audit_decision_latency_windows")) {
+		t.Error("/metrics missing audit decision-latency histogram")
+	}
+
+	// The /decisions snapshot parses as a trail that saw decisions.
+	var trail audit.Trail
+	if err := json.Unmarshal(getBody(t, base+"/decisions?format=json"), &trail); err != nil {
+		t.Fatalf("/decisions?format=json: %v", err)
+	}
+	if len(trail.Decisions) == 0 {
+		t.Error("/decisions snapshot has no decision records after a full render")
 	}
 	prog := getBody(t, base+"/progress")
 	if !bytes.Contains(prog, []byte(`"`+StateDone+`"`)) {
@@ -265,7 +293,7 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	select {
 	case <-clientDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("SSE client did not terminate after cancel")
+		t.Fatal("SSE clients did not terminate after cancel")
 	}
 }
 

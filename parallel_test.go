@@ -42,7 +42,16 @@ func requirePlainFigures(t *testing.T, variant string, got []byte) {
 // to a serial render. Its cold render simulates each distinct lane once:
 // the figures' runs of registered policies are keyed by fingerprint, so
 // Figure 16 and the policy zoo share their timeout runs, and Figure 12
-// and the zoo their PowerChop runs.
+// and the zoo their PowerChop runs. The ablations add 23 lanes to the
+// other figures' 325; each sweep's default setting is a lane another
+// figure runs:
+//   - thresholds 0.001, 0.02 and 0.1 on gobmk, soplex and msn (9);
+//   - timeouts of 100, 1000 and 100000 idle cycles on h264ref (3);
+//   - quality-tracked PowerChop on gobmk at N=1, 2 and 8 with W=1000,
+//     at W=200 and 5000 with N=4 (5), and in a 16- and a 512-entry HTB
+//     (2);
+//   - PowerChop on msn with a 4- and a 64-entry tree-PLRU PVT (2), and
+//     a 4-entry true-LRU and random PVT (2).
 func TestRenderAllParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure renders are slow; skipped with -short")
@@ -57,8 +66,8 @@ func TestRenderAllParallelByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	requirePlainFigures(t, "parallel", parallel.Bytes())
-	if n := f.runner.Simulations(); n != 325 {
-		t.Errorf("cold render simulated %d lanes, want 325", n)
+	if n := f.runner.Simulations(); n != 348 {
+		t.Errorf("cold render simulated %d lanes, want 348", n)
 	}
 }
 
