@@ -1,6 +1,8 @@
 package powerchop
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -9,6 +11,42 @@ import (
 	"powerchop/internal/obs/audit"
 	"powerchop/internal/pvt"
 )
+
+// TestExplainAttachedByteIdentical is the decision-provenance determinism
+// gate: rendering the full figure set with audit collection, histogram
+// metrics and a live /decisions SSE client attached must be byte-identical
+// to an unobserved render. The audit layer is a pure observer. It checks
+// the render TestMonitorAttachedByteIdentical checks, which carries the
+// auditor beside every other observer.
+func TestExplainAttachedByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure renders are slow; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("two full figure renders under the race detector are too slow; " +
+			"auditor concurrency is exercised by the unit tests")
+	}
+	run, err := observedFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	requirePlainFigures(t, "audited", run.figures)
+
+	// The provenance surfaces must hold up after the render: the
+	// /decisions snapshot parses as a trail that saw decisions, and the
+	// audit histograms registered alongside the collector's metrics.
+	var trail audit.Trail
+	if err := json.Unmarshal(run.decisions, &trail); err != nil {
+		t.Fatalf("/decisions?format=json: %v", err)
+	}
+	if len(trail.Decisions) == 0 {
+		t.Error("/decisions snapshot has no decision records after a full render")
+	}
+	if !bytes.Contains(run.metrics, []byte("audit_decision_latency_windows")) {
+		t.Error("/metrics missing audit decision-latency histogram")
+	}
+}
 
 // TestExplainAlgorithm1Reproduction checks that the audit trail carries
 // the exact inputs Algorithm 1 saw: re-applying each recorded score to

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -42,26 +43,34 @@ func (w *lockedWriter) String() string {
 	return w.buf.String()
 }
 
-// TestMonitorAttachedByteIdentical is the live-monitoring and
-// decision-provenance determinism gate: rendering the full figure set
-// with the whole observability layer attached — metrics collector, the
-// decision auditor with its histograms in the collector's registry,
-// progress board, live SSE clients on /events and /decisions, telemetry
-// time-series ingest with a live /api/query polling client, request
-// spans, a run-history store, structured access logging, and a ticking
-// alert evaluator over the default ruleset — must be byte-identical to
-// an unobserved render. Observation is pure; it may never perturb
-// simulation results.
-func TestMonitorAttachedByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure renders are slow; skipped with -short")
-	}
-	if raceEnabled {
-		t.Skip("two full figure renders under the race detector are too slow; " +
-			"monitor concurrency is race-tested in internal/obs/serve, " +
-			"auditor concurrency by the audit unit tests")
-	}
+// observedRender is the figure set rendered with the whole
+// observability layer attached, and what the monitor served once the
+// render finished.
+type observedRender struct {
+	figures []byte
+	// Bodies of /metrics, /decisions?format=json, /progress, /api/runs,
+	// /api/series, /api/query and /api/alerts after the render.
+	metrics, decisions, progress, runs, series, query, alerts []byte
 
+	spanID     uint64 // the render's root span
+	requestID  string
+	alertRules int // rules the evaluator ran
+	accessLog  string
+}
+
+// observedFigures renders the observed figure set once per test
+// process: the monitor and decision-provenance identity tests both
+// check the one render.
+var observedFigures = sync.OnceValues(renderObserved)
+
+// renderObserved renders the full figure set at smoke scale with every
+// observer attached — metrics collector, the decision auditor with its
+// histograms in the collector's registry, progress board, live SSE
+// clients on /events and /decisions, telemetry time-series ingest with a
+// live /api/query polling client, request spans, a run-history store,
+// structured access logging, and a ticking alert evaluator over the
+// default ruleset — then reads the monitor's surfaces and shuts it down.
+func renderObserved() (run *observedRender, err error) {
 	collector := obs.NewCollector()
 	auditCfg := audit.DesignConfig(arch.Server())
 	auditCfg.Registry = collector.Registry()
@@ -73,7 +82,7 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	store := runlog.Memory()
 	mon.SetRunLog(store)
 	if err := mon.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer func() {
 		// Drop the client's pooled keep-alives first: the Transport can
@@ -84,8 +93,8 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := mon.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
+		if serr := mon.Shutdown(ctx); serr != nil && err == nil {
+			run, err = nil, fmt.Errorf("shutdown: %w", serr)
 		}
 	}()
 	base := "http://" + mon.Addr()
@@ -98,11 +107,11 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	for _, path := range []string{"/events", "/decisions"} {
 		req, err := http.NewRequestWithContext(clientCtx, http.MethodGet, base+path, nil)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		clients.Add(1)
 		go func() {
@@ -170,7 +179,7 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 		Registry: collector.Registry(),
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	mon.SetAlerts(alertEv)
 	stopAlerts := alertEv.Start(5 * time.Millisecond)
@@ -182,79 +191,122 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 		WithProgress(mon.Board().Update))
 	// The render runs under a root span, so every sweep, benchmark and
 	// sim span rides the same event stream the SSE client is draining.
-	reqID := span.NewRequestID()
-	ctx, root := span.Root(context.Background(), tracer, "request", reqID, "route=test")
+	run = &observedRender{requestID: span.NewRequestID(), alertRules: len(alertRules)}
+	ctx, root := span.Root(context.Background(), tracer, "request", run.requestID, "route=test")
 	var live bytes.Buffer
 	renderErr := observed.RenderAllContext(ctx, &live)
 	root.EndErr(renderErr)
 	if renderErr != nil {
-		t.Fatal(renderErr)
+		return nil, renderErr
 	}
+	run.figures, run.spanID = live.Bytes(), root.ID()
 	if err := store.Append(runlog.Record{
-		Kind: "all", Name: "all", SpanID: root.ID(), RequestID: reqID,
+		Kind: "all", Name: "all", SpanID: run.spanID, RequestID: run.requestID,
 	}); err != nil {
+		return nil, err
+	}
+
+	for _, s := range []struct {
+		body *[]byte
+		path string
+	}{
+		{&run.metrics, "/metrics"},
+		{&run.decisions, "/decisions?format=json"},
+		{&run.progress, "/progress"},
+		{&run.runs, "/api/runs"},
+	} {
+		if *s.body, err = fetch(base + s.path); err != nil {
+			return nil, err
+		}
+	}
+
+	// The telemetry surface is read once its polling client has stopped.
+	stopPoll()
+	select {
+	case <-pollDone:
+	case <-time.After(5 * time.Second):
+		return nil, fmt.Errorf("telemetry polling client did not terminate after cancel")
+	}
+	if run.series, err = fetch(base + "/api/series"); err != nil {
+		return nil, err
+	}
+	if run.query, err = fetch(base + "/api/query?series=" + tsdb.SeriesInsns); err != nil {
+		return nil, err
+	}
+
+	// The alert snapshot is read once the evaluator has stopped ticking.
+	stopAlerts()
+	if run.alerts, err = fetch(base + "/api/alerts"); err != nil {
+		return nil, err
+	}
+	run.accessLog = access.String()
+
+	stopClient()
+	select {
+	case <-clientDone:
+	case <-time.After(5 * time.Second):
+		return nil, fmt.Errorf("SSE clients did not terminate after cancel")
+	}
+	return run, nil
+}
+
+// TestMonitorAttachedByteIdentical is the live-monitoring determinism
+// gate: rendering the full figure set with the whole observability layer
+// attached (renderObserved) must be byte-identical to an unobserved
+// render, and every monitor surface must hold up after it. Observation
+// is pure; it may never perturb simulation results.
+func TestMonitorAttachedByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure renders are slow; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("two full figure renders under the race detector are too slow; " +
+			"monitor concurrency is race-tested in internal/obs/serve")
+	}
+	run, err := observedFigures()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	requirePlainFigures(t, "monitored", live.Bytes())
+	requirePlainFigures(t, "monitored", run.figures)
 
 	// The scrape surface must hold up after a real run: /metrics passes
 	// the Prometheus text-format conformance check over HTTP, and
 	// /progress saw the runs complete.
-	metrics := getBody(t, base+"/metrics")
-	if err := serve.CheckExposition(metrics); err != nil {
+	if err := serve.CheckExposition(run.metrics); err != nil {
 		t.Fatalf("/metrics nonconformant after run: %v", err)
 	}
-	if !bytes.Contains(metrics, []byte("events_total")) {
+	if !bytes.Contains(run.metrics, []byte("events_total")) {
 		t.Error("/metrics missing events_total after a traced run")
 	}
-	if !bytes.Contains(metrics, []byte("audit_decision_latency_windows")) {
-		t.Error("/metrics missing audit decision-latency histogram")
-	}
-
-	// The /decisions snapshot parses as a trail that saw decisions.
-	var trail audit.Trail
-	if err := json.Unmarshal(getBody(t, base+"/decisions?format=json"), &trail); err != nil {
-		t.Fatalf("/decisions?format=json: %v", err)
-	}
-	if len(trail.Decisions) == 0 {
-		t.Error("/decisions snapshot has no decision records after a full render")
-	}
-	prog := getBody(t, base+"/progress")
-	if !bytes.Contains(prog, []byte(`"`+StateDone+`"`)) {
-		t.Errorf("/progress has no completed runs:\n%s", prog)
+	if !bytes.Contains(run.progress, []byte(`"`+StateDone+`"`)) {
+		t.Errorf("/progress has no completed runs:\n%s", run.progress)
 	}
 
 	// The run history lists the render, correlated by span and request ID.
 	var runsDoc struct {
 		Runs []runlog.Record `json:"runs"`
 	}
-	if err := json.Unmarshal(getBody(t, base+"/api/runs"), &runsDoc); err != nil {
+	if err := json.Unmarshal(run.runs, &runsDoc); err != nil {
 		t.Fatalf("/api/runs not JSON: %v", err)
 	}
-	if len(runsDoc.Runs) != 1 || runsDoc.Runs[0].SpanID != root.ID() || runsDoc.Runs[0].RequestID != reqID {
+	if len(runsDoc.Runs) != 1 || runsDoc.Runs[0].SpanID != run.spanID || runsDoc.Runs[0].RequestID != run.requestID {
 		t.Errorf("/api/runs after render: %+v", runsDoc.Runs)
 	}
 
 	// The telemetry surface filled from the same event stream: the series
 	// catalog is non-empty and a range query answers with real windows.
-	stopPoll()
-	select {
-	case <-pollDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("telemetry polling client did not terminate after cancel")
-	}
 	var seriesDoc struct {
 		Series []tsdb.SeriesInfo `json:"series"`
 	}
-	if err := json.Unmarshal(getBody(t, base+"/api/series"), &seriesDoc); err != nil {
+	if err := json.Unmarshal(run.series, &seriesDoc); err != nil {
 		t.Fatalf("/api/series not JSON: %v", err)
 	}
 	if len(seriesDoc.Series) == 0 {
 		t.Fatal("/api/series empty after a telemetry-attached render")
 	}
 	var queryDoc tsdb.Result
-	if err := json.Unmarshal(getBody(t, base+"/api/query?series="+tsdb.SeriesInsns), &queryDoc); err != nil {
+	if err := json.Unmarshal(run.query, &queryDoc); err != nil {
 		t.Fatalf("/api/query not JSON: %v", err)
 	}
 	if len(queryDoc.Points) == 0 {
@@ -265,16 +317,15 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 	// with every rule evaluated at the final boundary, and the synthetic
 	// rule actually fired mid-render — the identity above held with
 	// alerting active, not merely attached.
-	stopAlerts()
 	var alertsDoc struct {
 		Rules      []json.RawMessage `json:"rules"`
 		LastWindow uint64            `json:"last_window"`
 		FiredTotal uint64            `json:"fired_total"`
 	}
-	if err := json.Unmarshal(getBody(t, base+"/api/alerts"), &alertsDoc); err != nil {
+	if err := json.Unmarshal(run.alerts, &alertsDoc); err != nil {
 		t.Fatalf("/api/alerts not JSON: %v", err)
 	}
-	if len(alertsDoc.Rules) != len(alertRules) || alertsDoc.LastWindow == 0 {
+	if len(alertsDoc.Rules) != run.alertRules || alertsDoc.LastWindow == 0 {
 		t.Errorf("/api/alerts after render: %d rules, last_window %d",
 			len(alertsDoc.Rules), alertsDoc.LastWindow)
 	}
@@ -284,16 +335,9 @@ func TestMonitorAttachedByteIdentical(t *testing.T) {
 
 	// Every scrape above left a structured access-log line carrying its
 	// request ID.
-	if !strings.Contains(access.String(), `"msg":"request"`) ||
-		!strings.Contains(access.String(), `"request_id"`) {
-		t.Errorf("access log missing request lines:\n%s", access.String())
-	}
-
-	stopClient()
-	select {
-	case <-clientDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("SSE clients did not terminate after cancel")
+	if !strings.Contains(run.accessLog, `"msg":"request"`) ||
+		!strings.Contains(run.accessLog, `"request_id"`) {
+		t.Errorf("access log missing request lines:\n%s", run.accessLog)
 	}
 }
 
@@ -357,19 +401,19 @@ func TestMonitorEventsLiveDuringRun(t *testing.T) {
 	}
 }
 
-func getBody(t *testing.T, url string) []byte {
-	t.Helper()
+// fetch GETs url and returns its body, failing on any status but 200.
+func fetch(url string) ([]byte, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, body)
+		return nil, fmt.Errorf("GET %s: %d %s", url, resp.StatusCode, body)
 	}
-	return body
+	return body, nil
 }
